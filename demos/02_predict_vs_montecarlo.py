@@ -30,8 +30,8 @@ print(f"  numerator  mu = {dist.mu_num:.6e} m^2, sigma = {dist.sigma_num:.6e} m^
 print(f"  denominator mu = {dist.mu_den:.6e} m^2, sigma = {dist.sigma_den:.6e} m^2")
 print(f"  num/den covariance (diagnostic): {dist.covariance_num_den:.3e} m^4")
 
-records = run_trials(scenario, noise, N_TRIALS, MASTER_SEED)
-summary = summarize(records, dist)
+batch = run_trials(scenario, noise, N_TRIALS, MASTER_SEED)
+summary = summarize(batch, dist)
 print(f"\n{N_TRIALS} trials with master seed {MASTER_SEED}:")
 print(f"  empirical mean = {summary.q_mean:.6e}  "
       f"({summary.q_mean/dist.mu_q - 1:+.2%} vs prediction)")
@@ -56,7 +56,7 @@ try:
 except ImportError:
     print("matplotlib not installed; skipping the PNG")
 else:
-    qs = np.array([r.q for r in records])
+    qs = batch.q
     centers = 0.5 * (summary.hist_edges[:-1] + summary.hist_edges[1:])
     widths = np.diff(summary.hist_edges)
     density = summary.hist_counts / (len(qs) * widths)

@@ -40,8 +40,8 @@ print(f"predicted q: mu = {dist.mu_q:.6e}, sigma = {dist.sigma_q:.6e}")
 print(f"one-sided threshold at p_fa={P_FA}: {thr.one_sided_hi:.6e}")
 print(f"two-sided band: [{thr.two_sided_lo:.6e}, {thr.two_sided_hi:.6e}]")
 
-records = run_trials(scenario, noise, N_NOMINAL, 42, threshold=thr.one_sided_hi)
-rate = np.mean([r.exceeded_threshold for r in records])
+batch = run_trials(scenario, noise, N_NOMINAL, 42, threshold=thr.one_sided_hi)
+rate = np.mean(batch.exceeded)
 print(f"\nnominal trials: empirical false-alarm rate {rate:.4f} (target {P_FA})")
 
 

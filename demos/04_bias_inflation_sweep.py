@@ -9,8 +9,6 @@ it compares the predicted sigma of q with a 4,000-trial empirical value and
 reports where the prediction is refused outright.
 """
 
-import numpy as np
-
 from edmdetect import (
     DegenerateEigenvalueError,
     NoiseModel,
@@ -31,8 +29,7 @@ for bias in (1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7):
     except DegenerateEigenvalueError:
         print(f"{bias:10.0e}  refused: activated eigenvalues too close to the zero cluster")
         continue
-    records = run_trials(scenario, noise, N_TRIALS, 101)
-    qs = np.array([r.q for r in records])
+    qs = run_trials(scenario, noise, N_TRIALS, 101).q
     emp_std = qs.std(ddof=1)
     mean_err = (qs.mean() - dist.mu_q) / dist.sigma_q  # in predicted sigmas
     print(f"{bias:10.0e}  {dist.sigma_q:12.4e}  {emp_std:12.4e}  "

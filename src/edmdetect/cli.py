@@ -187,7 +187,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     geom, nm = build_scenario(cfg)
     dist = perturbation.predict_q_distribution(geom, nm, cfg.ordering)
     thresholds = perturbation.detection_threshold(dist, cfg.p_fa)
-    records = montecarlo.run_trials(
+    batch = montecarlo.run_trials(
         geom,
         nm,
         cfg.trials,
@@ -196,11 +196,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
         threshold=thresholds.one_sided_hi,
         workers=cfg.workers,
     )
-    summary = montecarlo.summarize(records, dist, threshold=thresholds.one_sided_hi)
+    summary = montecarlo.summarize(batch, dist, threshold=thresholds.one_sided_hi)
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     prov = cfg.provenance()
-    montecarlo.write_trials_csv(records, cfg.out_dir / "trials.csv", prov)
+    montecarlo.write_trials_csv(batch, cfg.out_dir / "trials.csv", prov)
     montecarlo.write_summary_json(summary, cfg.out_dir / "summary.json", prov)
     montecarlo.write_histogram_csv(summary, cfg.out_dir / "histogram.csv", prov)
 

@@ -12,9 +12,7 @@ measures their size relative to the dominant one. All functions are pure.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -187,17 +185,6 @@ def spectrum(G_c: np.ndarray, ordering: str = DEFAULT_ORDERING) -> GramSpectrum:
     signs[signs == 0] = 1.0
     V = V * signs[None, :]
     return GramSpectrum(eigenvalues=w, eigenvectors=V, ordering=ordering)
-
-
-def matrix_to_csv(matrix: np.ndarray, path) -> None:
-    """Dump a matrix to CSV for debugging: header row of column indices,
-    then rows in row-major order."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(range(matrix.shape[1]))
-        for row in matrix:
-            writer.writerow([repr(float(x)) for x in row])
 
 
 def test_statistic(s: GramSpectrum) -> float:

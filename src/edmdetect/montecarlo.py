@@ -1,24 +1,25 @@
 """Monte Carlo validation harness for the analytic q-distribution prediction.
 
 Repeats noisy trials at a fixed geometry, collects the statistic and the
-leading eigenvalues, and compares the empirical distribution with the
-first-order prediction. Trial t draws its noise from a seed derived from
-(master_seed, t), so results are bit-identical regardless of execution
-order or worker count.
+leading eigenvalues as columns of a TrialBatch, and compares the empirical
+distribution with the first-order prediction. Trials run in fixed blocks of
+1024; block b draws the noise of all its trials in one call from a Philox
+counter-based stream keyed on the master seed with counter b (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11). Trial t's noise thus
+depends only on (master_seed, t): results are bit-identical for any worker
+count, and a short run is a bit-exact prefix of a longer one.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping
 
-import mpmath
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr
 
 from . import edm, geometry
 from .errors import SpectrumError
@@ -35,19 +36,21 @@ KS_COEFF = {0.05: 1.358, 0.01: 1.628}
 _CORRELATION_LABELS = ("lambda1", "lambda4", "lambda5", "lambda4+lambda5")
 
 
-@dataclass
-class TrialRecord:
-    """One noisy trial: the statistic and the first five eigenvalues.
+@dataclass(frozen=True)
+class TrialBatch:
+    """Columnar results of k noisy trials; row t belongs to trial t.
 
     ``q_alt`` is the statistic recomputed under the other eigenvalue
     ordering; it is a diagnostic and not part of the CSV contract.
     """
 
-    trial_index: int
-    q: float
-    lambdas: np.ndarray  # (5,) leading eigenvalues per configured ordering
-    exceeded_threshold: bool | None = None
-    q_alt: float | None = None
+    q: np.ndarray  # (k,)
+    lambdas: np.ndarray  # (k, 5) leading eigenvalues per configured ordering
+    exceeded: np.ndarray | None  # (k,) bool, or None when no threshold was given
+    q_alt: np.ndarray  # (k,)
+
+    def __len__(self) -> int:
+        return self.q.shape[0]
 
 
 @dataclass
@@ -69,9 +72,9 @@ class SimulationSummary:
     correlation: np.ndarray  # (4, 4) over _CORRELATION_LABELS
     degenerate: bool
     predicted: StatisticDistribution
-    alt_ordering: str | None = None
-    q_alt_mean: float | None = None
-    q_alt_std: float | None = None
+    alt_ordering: str
+    q_alt_mean: float
+    q_alt_std: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -121,28 +124,40 @@ def _exceeds(q: np.ndarray, threshold) -> np.ndarray:
     return (q < lo) | (q > hi)
 
 
+def noise_key(master_seed: int) -> np.ndarray:
+    """The 128-bit Philox key of a run, derived from seeds of any size."""
+    return np.random.SeedSequence(master_seed).generate_state(2, np.uint64)
+
+
+def block_noise(key: np.ndarray, block: int, k: int, m: int, sigma_v: float) -> np.ndarray:
+    """Noise (k, m) of the first k trials of block ``block``, one row per trial.
+
+    The block's stream starts at counter [0, 0, 0, block], so row i is the
+    noise of trial block * _BLOCK + i whatever k is.
+    """
+    rng = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, block]))
+    return rng.normal(0.0, sigma_v, (k, m))
+
+
 def _trial_block(
     satellites: np.ndarray,
     d: np.ndarray,
     sigma_v: float,
     b_eff: float,
-    master_seed: int,
-    start: int,
-    stop: int,
+    key: np.ndarray,
+    block: int,
+    k: int,
     ordering: str,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run trials [start, stop): returns (q, first-5 eigenvalues, q_alt)."""
+    """Run the first k trials of a block: returns (q, first-5 eigenvalues, q_alt)."""
     m = d.shape[0]
     n = m + 1
     D = edm.edm_from_gram(edm.gram_from_positions(satellites.T)).entries
-    k = stop - start
+    rho2 = (d + b_eff + block_noise(key, block, k, m, sigma_v)) ** 2
     Dc = np.zeros((k, n, n))
     Dc[:, 1:, 1:] = D
-    for t in range(start, stop):
-        rng = np.random.default_rng(np.random.SeedSequence([master_seed, t]))
-        rho = d + b_eff + rng.normal(0.0, sigma_v, m)
-        Dc[t - start, 0, 1:] = rho**2
-        Dc[t - start, 1:, 0] = rho**2
+    Dc[:, 0, 1:] = rho2
+    Dc[:, 1:, 0] = rho2
     J = edm.centering_matrix(n)
     Gc = -0.5 * (J @ Dc @ J)
     Gc = 0.5 * (Gc + np.transpose(Gc, (0, 2, 1)))
@@ -160,7 +175,7 @@ def _trial_block(
     bad = np.flatnonzero(lam1 == 0.0)
     if bad.size:
         raise SpectrumError(
-            f"trial {start + int(bad[0])}: leading eigenvalue is zero (degenerate geometry)"
+            f"trial {block * _BLOCK + int(bad[0])}: leading eigenvalue is zero (degenerate geometry)"
         )
     q = (w_main[:, 3] + w_main[:, 4]) / (2.0 * lam1)
     q_alt = (w_alt[:, 3] + w_alt[:, 4]) / (2.0 * w_alt[:, 0])
@@ -175,13 +190,13 @@ def run_trials(
     ordering: str = edm.DEFAULT_ORDERING,
     threshold=None,
     workers: int = 1,
-) -> list[TrialRecord]:
+) -> TrialBatch:
     """Run ``n_trials`` independent noisy trials at a fixed geometry.
 
     ``threshold`` may be a scalar (one-sided upper) or a (lo, hi) pair; when
-    given, each record carries an exceedance flag. ``workers`` > 1 fans the
-    fixed-size trial blocks out to a process pool; outputs are identical for
-    any worker count.
+    given, the batch carries an exceedance flag per trial. ``workers`` > 1
+    fans the fixed-size trial blocks out to a process pool; outputs are
+    identical for any worker count.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
@@ -190,39 +205,27 @@ def run_trials(
     if ordering not in edm.ORDERINGS:
         raise ValueError(f"ordering must be one of {edm.ORDERINGS}, got {ordering!r}")
     d = geometry.true_ranges(g)
-    b_eff = nm.effective_bias
-    spans = [(s, min(s + _BLOCK, n_trials)) for s in range(0, n_trials, _BLOCK)]
+    key = noise_key(master_seed)
     args = [
-        (g.satellites, d, nm.sigma_v, b_eff, master_seed, start, stop, ordering)
-        for start, stop in spans
+        (g.satellites, d, nm.sigma_v, nm.effective_bias, key, start // _BLOCK,
+         min(_BLOCK, n_trials - start), ordering)
+        for start in range(0, n_trials, _BLOCK)
     ]
-    if workers <= 1 or len(spans) == 1:
+    if workers <= 1 or len(args) == 1:
         blocks = [_trial_block(*a) for a in args]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_trial_block, *zip(*args)))
-
-    records: list[TrialRecord] = []
-    for (start, _stop), (q, lams, q_alt) in zip(spans, blocks):
-        exceeded = _exceeds(q, threshold) if threshold is not None else None
-        for i in range(q.shape[0]):
-            records.append(
-                TrialRecord(
-                    trial_index=start + i,
-                    q=float(q[i]),
-                    lambdas=lams[i].copy(),
-                    exceeded_threshold=bool(exceeded[i]) if exceeded is not None else None,
-                    q_alt=float(q_alt[i]),
-                )
-            )
-    return records
+    q, lambdas, q_alt = (np.concatenate(cols) for cols in zip(*blocks))
+    exceeded = _exceeds(q, threshold) if threshold is not None else None
+    return TrialBatch(q=q, lambdas=lambdas, exceeded=exceeded, q_alt=q_alt)
 
 
 def _ks_statistic(sample: np.ndarray, mu: float, sigma: float) -> float:
     """One-sample KS distance between the sample and N(mu, sigma^2)."""
     x = np.sort(sample)
     n = x.shape[0]
-    F = stats.norm.cdf(x, loc=mu, scale=sigma)
+    F = ndtr((x - mu) / sigma)
     i = np.arange(1, n + 1)
     return float(max((i / n - F).max(), (F - (i - 1) / n).max()))
 
@@ -233,20 +236,21 @@ def ks_critical_value(alpha: float, n: int) -> float:
 
 
 def summarize(
-    records: Sequence[TrialRecord],
+    batch: TrialBatch,
     dist: StatisticDistribution,
     threshold=None,
 ) -> SimulationSummary:
-    """Reduce trial records to empirical statistics and fit diagnostics.
+    """Reduce a trial batch to empirical statistics and fit diagnostics.
 
     The histogram uses Freedman-Diaconis binning; the KS statistic compares
     the q sample with N(mu_q, sigma_q^2). The false-alarm rate comes from
-    ``threshold`` when supplied, else from the records' stored flags.
+    ``threshold`` when supplied, else from the batch's stored flags.
     """
-    if len(records) < 2:
-        raise ValueError("need at least 2 trial records to summarize")
-    qs = np.array([r.q for r in records])
-    lams = np.vstack([r.lambdas for r in records])
+    n = len(batch)
+    if n < 2:
+        raise ValueError("need at least 2 trials to summarize")
+    qs = batch.q
+    lams = batch.lambdas
 
     q_mean = float(qs.mean())
     q_std = float(qs.std(ddof=1))
@@ -261,11 +265,10 @@ def summarize(
 
     if threshold is not None:
         rate = float(np.mean(_exceeds(qs, threshold)))
+    elif batch.exceeded is not None:
+        rate = float(np.mean(batch.exceeded))
     else:
-        flags = [r.exceeded_threshold for r in records]
-        rate = float(np.mean([bool(f) for f in flags])) if all(
-            f is not None for f in flags
-        ) else None
+        rate = None
 
     cols = np.column_stack([lams[:, 0], lams[:, 3], lams[:, 4], lams[:, 3] + lams[:, 4]])
     sd = cols.std(axis=0, ddof=1)
@@ -275,12 +278,8 @@ def summarize(
         sub = np.corrcoef(cols[:, ok], rowvar=False)
         corr[np.ix_(ok, ok)] = np.atleast_2d(sub)
 
-    q_alts = [r.q_alt for r in records]
-    have_alt = all(a is not None for a in q_alts)
-    alt = np.array(q_alts, dtype=float) if have_alt else None
-
     return SimulationSummary(
-        n_trials=len(records),
+        n_trials=n,
         ordering=dist.ordering,
         q_mean=q_mean,
         q_std=q_std,
@@ -289,15 +288,15 @@ def summarize(
         hist_edges=edges,
         hist_counts=counts,
         ks_statistic=ks,
-        ks_critical_5pct=ks_critical_value(0.05, len(records)),
-        ks_critical_1pct=ks_critical_value(0.01, len(records)),
+        ks_critical_5pct=ks_critical_value(0.05, n),
+        ks_critical_1pct=ks_critical_value(0.01, n),
         false_alarm_rate=rate,
         correlation=corr,
         degenerate=degenerate,
         predicted=dist,
-        alt_ordering=_other_ordering(dist.ordering) if have_alt else None,
-        q_alt_mean=float(alt.mean()) if have_alt else None,
-        q_alt_std=float(alt.std(ddof=1)) if have_alt else None,
+        alt_ordering=_other_ordering(dist.ordering),
+        q_alt_mean=float(batch.q_alt.mean()),
+        q_alt_std=float(batch.q_alt.std(ddof=1)),
     )
 
 
@@ -348,6 +347,8 @@ def _mp_eigenvalues(satellites: np.ndarray, rho, ordering: str):
     inside double-precision eigensolver noise, so the audit's reference side
     needs more precision than float64 carries.
     """
+    import mpmath  # only the audit needs it; importing it slows every command
+
     m = satellites.shape[0]
     n = m + 1
     pts = [[mpmath.mpf(float(c)) for c in row] for row in satellites]
@@ -388,6 +389,8 @@ def finite_difference_audit(
     arithmetic (see _mp_eigenvalues). Discrepancies are relative with an
     absolute floor of 1 m^2/m.
     """
+    import mpmath
+
     if not 1e-6 <= h <= 1.0:
         raise ValueError(f"step h must lie in [1e-6, 1] m, got {h}")
     d = geometry.true_ranges(g)
@@ -432,25 +435,39 @@ def _provenance_lines(provenance: Mapping[str, object] | None) -> list[str]:
     return [f"# {key}={provenance[key]}" for key in sorted(provenance)]
 
 
+def _write_csv(
+    path: str | Path,
+    provenance: Mapping[str, object] | None,
+    header: str,
+    rows: Iterable[str],
+) -> None:
+    """Comment lines end in \n; the header and rows in \r\n, the csv module's default."""
+    with Path(path).open("w", newline="") as fh:
+        for line in _provenance_lines(provenance):
+            fh.write(line + "\n")
+        fh.write(header + "\r\n")
+        fh.writelines(rows)
+
+
 def write_trials_csv(
-    records: Sequence[TrialRecord],
+    batch: TrialBatch,
     path: str | Path,
     provenance: Mapping[str, object] | None = None,
 ) -> None:
-    """Columns: trial, q, lambda1..lambda5, exceeded (empty if no threshold)."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        for line in _provenance_lines(provenance):
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["trial", "q", "lambda1", "lambda2", "lambda3", "lambda4", "lambda5", "exceeded"]
-        )
-        for r in records:
-            exceeded = "" if r.exceeded_threshold is None else int(r.exceeded_threshold)
-            writer.writerow(
-                [r.trial_index, repr(r.q)] + [repr(float(x)) for x in r.lambdas] + [exceeded]
-            )
+    """Columns: trial, q, lambda1..lambda5, exceeded (empty if no threshold).
+
+    Floats are written with repr, so every value round-trips exactly.
+    """
+    cols = [range(len(batch)), batch.q.tolist(), *batch.lambdas.T.tolist()]
+    if batch.exceeded is None:
+        fmt = "%d,%r,%r,%r,%r,%r,%r,\r\n"
+    else:
+        fmt = "%d,%r,%r,%r,%r,%r,%r,%d\r\n"
+        cols.append(batch.exceeded.tolist())
+    _write_csv(
+        path, provenance, "trial,q,lambda1,lambda2,lambda3,lambda4,lambda5,exceeded",
+        (fmt % row for row in zip(*cols)),
+    )
 
 
 def write_summary_json(
@@ -474,19 +491,17 @@ def write_histogram_csv(
     ``predicted_density`` samples the predicted Gaussian pdf at each bin
     midpoint, which is the overlay-curve content of the histogram figure.
     """
-    path = Path(path)
     dist = summary.predicted
-    mids = 0.5 * (summary.hist_edges[:-1] + summary.hist_edges[1:])
+    edges = summary.hist_edges
+    mids = 0.5 * (edges[:-1] + edges[1:])
     if dist.sigma_q > 0:
-        density = stats.norm.pdf(mids, loc=dist.mu_q, scale=dist.sigma_q)
+        # scipy.stats.norm.pdf's operation order, on which the output bytes depend.
+        y = (mids - dist.mu_q) / dist.sigma_q
+        density = np.exp(-y**2 / 2.0) / np.sqrt(2 * np.pi) / dist.sigma_q
     else:
         density = np.zeros_like(mids)
-    with path.open("w", newline="") as fh:
-        for line in _provenance_lines(provenance):
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["bin_left", "bin_right", "count", "predicted_density"])
-        for left, right, count, dens in zip(
-            summary.hist_edges[:-1], summary.hist_edges[1:], summary.hist_counts, density
-        ):
-            writer.writerow([repr(float(left)), repr(float(right)), int(count), repr(float(dens))])
+    cols = (edges[:-1].tolist(), edges[1:].tolist(), summary.hist_counts.tolist(), density.tolist())
+    _write_csv(
+        path, provenance, "bin_left,bin_right,count,predicted_density",
+        ("%r,%r,%d,%r\r\n" % row for row in zip(*cols)),
+    )

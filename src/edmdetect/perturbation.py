@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtri
 
 from . import edm, geometry
 from .errors import DegenerateEigenvalueError
@@ -302,8 +302,8 @@ def detection_threshold(dist: StatisticDistribution, p_fa: float) -> DetectionTh
         raise ValueError(f"p_fa must lie in (0, 0.5), got {p_fa}")
     if dist.sigma_q == 0.0:
         return DetectionThresholds(dist.mu_q, dist.mu_q, dist.mu_q, p_fa, True)
-    z_two = stats.norm.ppf(1.0 - p_fa / 2.0)
-    z_one = stats.norm.ppf(1.0 - p_fa)
+    z_two = ndtri(1.0 - p_fa / 2.0)
+    z_one = ndtri(1.0 - p_fa)
     return DetectionThresholds(
         two_sided_lo=float(dist.mu_q - z_two * dist.sigma_q),
         two_sided_hi=float(dist.mu_q + z_two * dist.sigma_q),

@@ -1,6 +1,5 @@
 """Shared fixtures: the default 12-satellite scenario and one large trial batch."""
 
-import numpy as np
 import pytest
 
 from edmdetect import NoiseModel, generate_constellation, run_trials
@@ -23,12 +22,12 @@ def noise_default():
 def mc100k(scenario12, noise_default):
     """100,000 trials at the default scenario, shared across test modules.
 
-    Per-trial seeds depend only on (master seed, trial index), so any prefix
-    of this batch is bit-identical to an independent shorter run.
+    Trial t's noise depends only on (master seed, t), so any prefix of this
+    batch is bit-identical to an independent shorter run.
     """
     return run_trials(scenario12, noise_default, 100_000, MASTER_SEED)
 
 
 @pytest.fixture(scope="session")
 def lambda_matrix_100k(mc100k):
-    return np.vstack([r.lambdas for r in mc100k])
+    return mc100k.lambdas

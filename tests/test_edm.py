@@ -230,19 +230,6 @@ class TestTestStatistic:
             q_statistic(s)
 
 
-def test_matrix_to_csv_roundtrip(tmp_path):
-    from edmdetect.edm import matrix_to_csv
-
-    M = RNG.normal(size=(4, 4))
-    M = 0.5 * (M + M.T)
-    path = tmp_path / "matrix.csv"
-    matrix_to_csv(M, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "0,1,2,3"
-    parsed = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
-    np.testing.assert_array_equal(parsed, M)
-
-
 def test_bias_activation_adds_two_eigenvalues(scenario12):
     # Noiseless but biased measurements activate exactly two extra
     # eigenvalues beyond the geometric three.

@@ -369,7 +369,7 @@ class TestPredictQDistribution:
 
     def test_matches_monte_carlo_10k(self, scenario12, noise_default, mc100k):
         dist = predict_q_distribution(scenario12, noise_default)
-        qs = np.array([r.q for r in mc100k[:10_000]])
+        qs = mc100k.q[:10_000]
         assert qs.mean() == pytest.approx(dist.mu_q, rel=0.05)
         assert qs.std(ddof=1) == pytest.approx(dist.sigma_q, rel=0.15)
 
@@ -380,7 +380,7 @@ class TestPredictQDistribution:
         nm2 = NoiseModel(sigma_v=3.0, bias_b=1.0e5, bias_inflation=1.0e5)
         dist2 = predict_q_distribution(scenario12, nm2)
         assert dist2.mu_q != pytest.approx(base.mu_q, rel=1e-3)
-        qs = np.array([r.q for r in run_trials(scenario12, nm2, 3000, 7)])
+        qs = run_trials(scenario12, nm2, 3000, 7).q
         assert qs.mean() == pytest.approx(dist2.mu_q, rel=0.05)
         assert qs.std(ddof=1) == pytest.approx(dist2.sigma_q, rel=0.15)
 
