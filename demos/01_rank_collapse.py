@@ -15,11 +15,8 @@ import numpy as np
 
 from edmdetect import (
     NoiseModel,
-    augment_edm,
-    edm_from_gram,
+    centered_gram,
     generate_constellation,
-    gram_centered,
-    gram_from_positions,
     nominal_pseudoranges,
     sample_pseudoranges,
     spectrum,
@@ -29,14 +26,14 @@ from edmdetect import (
 
 scenario = generate_constellation(n_sats=12, elevation_mask_deg=10.0, seed=1)
 d = true_ranges(scenario)
-D = edm_from_gram(gram_from_positions(scenario.satellites.T))
 print(f"scenario: m = {scenario.m} satellites, ranges "
       f"{d.min()/1e6:.1f}-{d.max()/1e6:.1f} thousand km")
 
 
 def show(label, rho):
-    w = spectrum(gram_centered(augment_edm(D, rho))).eigenvalues
-    q = test_statistic(spectrum(gram_centered(augment_edm(D, rho))))
+    s = spectrum(centered_gram(scenario.satellites, rho))
+    w = s.eigenvalues
+    q = test_statistic(s)
     head = ", ".join(f"{x: .3e}" for x in w[:6])
     n_nonzero = int(np.sum(np.abs(w) > 1e-9 * np.abs(w).max()))
     print(f"\n{label}")

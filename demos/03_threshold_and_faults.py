@@ -10,12 +10,9 @@ import numpy as np
 
 from edmdetect import (
     NoiseModel,
-    augment_edm,
+    centered_gram,
     detection_threshold,
-    edm_from_gram,
     generate_constellation,
-    gram_centered,
-    gram_from_positions,
     inject_fault,
     predict_q_distribution,
     run_trials,
@@ -32,7 +29,6 @@ N_FAULTED = 500
 scenario = generate_constellation(n_sats=12, elevation_mask_deg=10.0, seed=1)
 noise = NoiseModel(sigma_v=3.0, bias_b=1.0e5)
 d = true_ranges(scenario)
-D = edm_from_gram(gram_from_positions(scenario.satellites.T))
 
 dist = predict_q_distribution(scenario, noise)
 thr = detection_threshold(dist, P_FA)
@@ -46,7 +42,7 @@ print(f"\nnominal trials: empirical false-alarm rate {rate:.4f} (target {P_FA})"
 
 
 def q_of(sample):
-    return test_statistic(spectrum(gram_centered(augment_edm(D, sample.rho))))
+    return test_statistic(spectrum(centered_gram(scenario.satellites, sample.rho)))
 
 
 print(f"\nfault response ({N_FAULTED} trials each, fault on satellite 3):")

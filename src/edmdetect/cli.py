@@ -11,11 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import edm, geometry, montecarlo, perturbation
 from .errors import ConfigError, DegenerateEigenvalueError, GeometryError, SpectrumError
@@ -25,20 +24,16 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_AUDIT = 4
 
-_DEFAULTS = {
-    "n_sats": 12,
-    "elevation_mask_deg": geometry.DEFAULT_ELEVATION_MASK_DEG,
-    "orbit_radius_m": geometry.DEFAULT_ORBIT_RADIUS_M,
-    "scenario_seed": 1,
-    "sigma_v": geometry.DEFAULT_SIGMA_V_M,
-    "bias_b": geometry.DEFAULT_BIAS_M,
-    "bias_inflation": 0.0,
-    "trials": 10_000,
-    "master_seed": 42,
-    "ordering": edm.DEFAULT_ORDERING,
-    "p_fa": 0.01,
-    "fd_step": 1e-3,
-    "workers": 1,
+# Run keys and their (type, default). The scenario's geometry and noise keys
+# are parsed by geometry.parse_geometry and geometry.parse_noise.
+_RUN_KEYS = {
+    "trials": (int, 10_000),
+    "master_seed": (int, 42),
+    "ordering": (str, edm.DEFAULT_ORDERING),
+    "p_fa": (float, 0.01),
+    "out": (str, "out"),
+    "fd_step": (float, 1e-3),
+    "workers": (int, 1),
 }
 
 # Tolerances enforced by `audit` (matching the library's invariants).
@@ -53,13 +48,8 @@ class RunConfig:
     """Fully resolved run parameters (file values overridden by flags)."""
 
     scenario_file: Path | None
-    n_sats: int
-    elevation_mask_deg: float
-    orbit_radius_m: float
-    scenario_seed: int
-    sigma_v: float
-    bias_b: float
-    bias_inflation: float
+    geometry_spec: geometry.GeometrySpec
+    noise: geometry.NoiseModel
     trials: int
     master_seed: int
     ordering: str
@@ -69,8 +59,8 @@ class RunConfig:
     workers: int
 
     def validate(self) -> None:
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.trials < 2:
+            raise ConfigError(f"trials must be >= 2, got {self.trials}")
         if not 0.0 < self.p_fa < 0.5:
             raise ConfigError(f"pfa must lie in (0, 0.5), got {self.p_fa}")
         if self.ordering not in edm.ORDERINGS:
@@ -79,107 +69,55 @@ class RunConfig:
             )
         if self.master_seed < 0:
             raise ConfigError("seed must be non-negative")
-        if self.scenario_file is not None and not self.scenario_file.is_file():
-            raise ConfigError(f"scenario file not found: {self.scenario_file}")
+        lo, hi = montecarlo.FD_STEP_RANGE_M
+        if not lo <= self.fd_step <= hi:
+            raise ConfigError(f"fd_step must lie in [{lo:g}, {hi:g}] m, got {self.fd_step}")
+        if self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
     def provenance(self) -> dict:
-        doc = {
+        return {
             "scenario_file": str(self.scenario_file) if self.scenario_file else "",
-            "n_sats": self.n_sats,
-            "elevation_mask_deg": self.elevation_mask_deg,
-            "orbit_radius_m": self.orbit_radius_m,
-            "scenario_seed": self.scenario_seed,
-            "sigma_v": self.sigma_v,
-            "bias_b": self.bias_b,
-            "bias_inflation": self.bias_inflation,
+            **self.geometry_spec.provenance(),
+            **asdict(self.noise),
             "trials": self.trials,
             "master_seed": self.master_seed,
             "ordering": self.ordering,
             "p_fa": self.p_fa,
         }
-        return doc
-
-
-def _load_config_file(path: Path) -> dict:
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        doc = yaml.safe_load(path.read_text())
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
-    if doc is None:
-        return {}
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config file {path} must hold a mapping")
-    return doc
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, config-file values, and flags (flags win)."""
-    file_doc: dict = {}
-    scenario_file: Path | None = None
-    if args.config is not None:
-        cfg_path = Path(args.config)
-        file_doc = _load_config_file(cfg_path)
-        if "receiver" in file_doc or "satellites" in file_doc or "constellation" in file_doc:
-            # The config file doubles as the scenario file.
-            scenario_file = cfg_path
+    """Merge defaults, config-file values, and flags (flags win).
 
-    def pick(flag_value, file_key, default):
-        if flag_value is not None:
-            return flag_value
-        if file_key in file_doc:
-            return file_doc[file_key]
-        return default
-
-    constellation = file_doc.get("constellation") or {}
+    Flag destinations are the config keys they override; the file is read
+    once and every value is converted and validated here.
+    """
+    doc = geometry.read_mapping(args.config) if args.config is not None else {}
+    spec = geometry.parse_geometry(doc)
+    doc = {**doc, **{
+        key: value for key, value in vars(args).items()
+        if value is not None and key not in ("command", "config")
+    }}
+    run = {
+        key: geometry.config_value(doc, key, kind, default)
+        for key, (kind, default) in _RUN_KEYS.items()
+    }
     cfg = RunConfig(
-        scenario_file=scenario_file,
-        n_sats=int(constellation.get("n_sats", _DEFAULTS["n_sats"])),
-        elevation_mask_deg=float(
-            constellation.get("elevation_mask_deg", _DEFAULTS["elevation_mask_deg"])
-        ),
-        orbit_radius_m=float(
-            constellation.get("orbit_radius_m", _DEFAULTS["orbit_radius_m"])
-        ),
-        scenario_seed=int(file_doc.get("seed", _DEFAULTS["scenario_seed"])),
-        sigma_v=float(pick(args.sigma, "sigma_v", _DEFAULTS["sigma_v"])),
-        bias_b=float(pick(args.bias, "bias_b", _DEFAULTS["bias_b"])),
-        bias_inflation=float(
-            pick(args.inflate_bias, "bias_inflation", _DEFAULTS["bias_inflation"])
-        ),
-        trials=int(pick(args.trials, "trials", _DEFAULTS["trials"])),
-        master_seed=int(pick(args.seed, "master_seed", _DEFAULTS["master_seed"])),
-        ordering=str(pick(args.ordering, "ordering", _DEFAULTS["ordering"])),
-        p_fa=float(pick(args.pfa, "p_fa", _DEFAULTS["p_fa"])),
-        out_dir=Path(args.out if args.out is not None else file_doc.get("out", "out")),
-        fd_step=float(pick(getattr(args, "fd_step", None), "fd_step", _DEFAULTS["fd_step"])),
-        workers=int(pick(getattr(args, "workers", None), "workers", _DEFAULTS["workers"])),
+        # The config file doubles as the scenario file when it names a geometry.
+        scenario_file=Path(args.config) if spec.given else None,
+        geometry_spec=spec,
+        noise=geometry.parse_noise(doc),
+        out_dir=Path(run.pop("out")),
+        **run,
     )
     cfg.validate()
     return cfg
 
 
 def build_scenario(cfg: RunConfig) -> tuple[geometry.ScenarioGeometry, geometry.NoiseModel]:
-    """Scenario from the config file when given, else a generated constellation."""
-    if cfg.scenario_file is not None:
-        # cfg already merged the file's noise keys with any flag overrides,
-        # so only the geometry is taken from the file here.
-        geom, _ = geometry.load_scenario_file(cfg.scenario_file)
-        nm = geometry.NoiseModel(
-            sigma_v=cfg.sigma_v, bias_b=cfg.bias_b, bias_inflation=cfg.bias_inflation
-        )
-        return geom, nm
-    geom = geometry.generate_constellation(
-        n_sats=cfg.n_sats,
-        elevation_mask_deg=cfg.elevation_mask_deg,
-        orbit_radius_m=cfg.orbit_radius_m,
-        seed=cfg.scenario_seed,
-    )
-    nm = geometry.NoiseModel(
-        sigma_v=cfg.sigma_v, bias_b=cfg.bias_b, bias_inflation=cfg.bias_inflation
-    )
-    return geom, nm
+    """The configured geometry (explicit or generated) and noise model."""
+    return cfg.geometry_spec.build(), cfg.noise
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
@@ -257,16 +195,13 @@ def _audit_checks(cfg: RunConfig) -> list[tuple[str, float, float, bool]]:
     )
 
     rho = geometry.nominal_pseudoranges(d, nm).rho
-    D = edm.edm_from_gram(edm.gram_from_positions(geom.satellites.T))
-    G_c = edm.gram_centered(edm.augment_edm(D, rho))
-    centering = float(
-        np.linalg.norm(G_c @ np.ones(G_c.shape[0])) / np.linalg.norm(G_c)
-    )
+    G_c = edm.centered_gram(geom.satellites, rho)
+    ones = np.ones(G_c.shape[0])
+    centering = float(np.linalg.norm(G_c @ ones) / np.linalg.norm(G_c))
     rows.append(("centering residual |G_c.1|/|G_c|", centering, AUDIT_CENTERING_TOL,
                  centering <= AUDIT_CENTERING_TOL))
 
     sens = perturbation.gram_sensitivities(rho)
-    ones = np.ones(G_c.shape[0])
     res = max(
         float(np.linalg.norm(M @ ones) / np.linalg.norm(M)) for M in sens.matrices
     )
@@ -278,7 +213,7 @@ def _audit_checks(cfg: RunConfig) -> list[tuple[str, float, float, bool]]:
     rows.append(("projector idempotence |J.J - J|_max", proj, AUDIT_PROJECTOR_TOL,
                  proj <= AUDIT_PROJECTOR_TOL))
 
-    w0 = edm.spectrum(edm.gram_centered(edm.augment_edm(D, d)), cfg.ordering).eigenvalues
+    w0 = edm.spectrum(edm.centered_gram(geom.satellites, d), cfg.ordering).eigenvalues
     n_nonzero_unbiased = int(np.sum(np.abs(w0) > AUDIT_RANK_TOL * np.abs(w0).max()))
     rows.append(("rank collapse: non-zero eigenvalues, zero bias, no noise",
                  float(n_nonzero_unbiased), 3.0, n_nonzero_unbiased == 3))
@@ -316,14 +251,18 @@ def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="YAML config / scenario file")
     shared.add_argument("--trials", type=int, help="number of Monte Carlo trials")
-    shared.add_argument("--seed", type=int, help="master seed for trial noise")
-    shared.add_argument("--sigma", type=float, help="pseudorange noise sigma_v, meters")
-    shared.add_argument("--bias", type=float, help="receiver clock bias, meters")
+    shared.add_argument("--seed", dest="master_seed", type=int, help="master seed for trial noise")
     shared.add_argument(
-        "--inflate-bias", dest="inflate_bias", type=float,
+        "--sigma", dest="sigma_v", type=float, help="pseudorange noise sigma_v, meters"
+    )
+    shared.add_argument("--bias", dest="bias_b", type=float, help="receiver clock bias, meters")
+    shared.add_argument(
+        "--inflate-bias", dest="bias_inflation", type=float,
         help="artificial additive clock bias, meters",
     )
-    shared.add_argument("--pfa", type=float, help="false-alarm probability in (0, 0.5)")
+    shared.add_argument(
+        "--pfa", dest="p_fa", type=float, help="false-alarm probability in (0, 0.5)"
+    )
     shared.add_argument(
         "--ordering", choices=list(edm.ORDERINGS), help="eigenvalue ordering"
     )

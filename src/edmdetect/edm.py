@@ -29,32 +29,25 @@ ORDERINGS = (ORDERING_ALGEBRAIC, ORDERING_MAGNITUDE)
 # for comparison.
 DEFAULT_ORDERING = ORDERING_MAGNITUDE
 
-KIND_INTER_SATELLITE = "inter-satellite"
-KIND_AUGMENTED = "augmented"
-
 _NEG_CLIP_REL = 1e-6
 
 
 @dataclass
 class SquaredDistanceMatrix:
-    """Matrix of pairwise squared distances (meters^2).
+    """Matrix of pairwise squared distances (meters^2), or a stack of them.
 
-    ``kind`` distinguishes the m x m inter-satellite matrix from the
-    (m+1) x (m+1) matrix augmented with measured pseudoranges in row and
-    column 0. Symmetric with a zero diagonal and non-negative entries.
+    Each matrix is symmetric with a zero diagonal and non-negative entries;
+    leading axes, if any, index the stack.
     """
 
     entries: np.ndarray
-    kind: str
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=float)
-        if self.kind not in (KIND_INTER_SATELLITE, KIND_AUGMENTED):
-            raise ValueError(f"unknown kind {self.kind!r}")
 
     @property
     def n(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
 
 
 @dataclass
@@ -105,7 +98,7 @@ def edm_from_gram(G: np.ndarray) -> SquaredDistanceMatrix:
     if D.min() < -_NEG_CLIP_REL * max(scale, 1.0):
         raise ValueError("input Gram matrix produced significantly negative squared distances")
     np.clip(D, 0.0, None, out=D)
-    return SquaredDistanceMatrix(entries=D, kind=KIND_INTER_SATELLITE)
+    return SquaredDistanceMatrix(entries=D)
 
 
 def augment_edm(
@@ -114,24 +107,26 @@ def augment_edm(
     """Augment the inter-satellite matrix with measured pseudoranges.
 
     Row and column 0 of the result hold rho_i^2; the (0, 0) corner is zero
-    and the original block is untouched.
+    and the original block is untouched. ``rho`` of shape (..., m) gives a
+    stack of shape (..., m+1, m+1), one matrix per pseudorange vector.
     """
     entries = D.entries if isinstance(D, SquaredDistanceMatrix) else np.asarray(D, dtype=float)
     rho = np.asarray(rho, dtype=float)
     m = entries.shape[0]
     if entries.shape != (m, m):
         raise ValueError(f"inter-satellite matrix must be square, got {entries.shape}")
-    if rho.shape != (m,):
+    if rho.ndim == 0 or rho.shape[-1] != m:
         raise ValueError(
-            f"pseudorange vector has {rho.shape[0]} entries for {m} satellites"
+            f"pseudorange vectors need {m} entries, one per satellite, got shape {rho.shape}"
         )
     if np.any(rho <= 0):
         raise ValueError("pseudoranges must all be positive")
-    out = np.zeros((m + 1, m + 1))
-    out[1:, 1:] = entries
-    out[0, 1:] = rho**2
-    out[1:, 0] = rho**2
-    return SquaredDistanceMatrix(entries=out, kind=KIND_AUGMENTED)
+    rho2 = rho**2
+    out = np.zeros(rho.shape[:-1] + (m + 1, m + 1))
+    out[..., 1:, 1:] = entries
+    out[..., 0, 1:] = rho2
+    out[..., 1:, 0] = rho2
+    return SquaredDistanceMatrix(entries=out)
 
 
 def centering_matrix(n: int) -> np.ndarray:
@@ -143,24 +138,36 @@ def gram_centered(D_c: SquaredDistanceMatrix | np.ndarray) -> np.ndarray:
     """Double-center a squared-distance matrix: G_c = -1/2 * J D_c J.
 
     J is sized to the (m+1)-point matrix, so the result is symmetric and its
-    rows sum to zero.
+    rows sum to zero. A stack (..., n, n) is centered matrix by matrix.
     """
     entries = (
         D_c.entries if isinstance(D_c, SquaredDistanceMatrix) else np.asarray(D_c, dtype=float)
     )
-    n = entries.shape[0]
-    if entries.shape != (n, n):
+    n = entries.shape[-1]
+    if entries.ndim < 2 or entries.shape[-2] != n:
         raise ValueError(f"expected a square matrix, got {entries.shape}")
     J = centering_matrix(n)
     G = -0.5 * (J @ entries @ J)
-    return 0.5 * (G + G.T)
+    return 0.5 * (G + np.swapaxes(G, -1, -2))
+
+
+def centered_gram(satellites: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Centered Gram matrix of satellites (m, 3) and pseudoranges rho (..., m).
+
+    The whole pipeline gram_from_positions -> edm_from_gram -> augment_edm
+    -> gram_centered. A stack of pseudorange vectors gives the stack of
+    their matrices, built with the same operations as a single vector's.
+    """
+    D = edm_from_gram(gram_from_positions(np.asarray(satellites, dtype=float).T))
+    return gram_centered(augment_edm(D, rho))
 
 
 def _order_indices(w: np.ndarray, ordering: str) -> np.ndarray:
+    """Indices ranking eigenvalues along the last axis per ``ordering``."""
     if ordering == ORDERING_ALGEBRAIC:
-        return np.argsort(-w, kind="stable")
+        return np.argsort(-w, axis=-1, kind="stable")
     if ordering == ORDERING_MAGNITUDE:
-        return np.argsort(-np.abs(w), kind="stable")
+        return np.argsort(-np.abs(w), axis=-1, kind="stable")
     raise ValueError(f"ordering must be one of {ORDERINGS}, got {ordering!r}")
 
 
@@ -170,8 +177,6 @@ def spectrum(G_c: np.ndarray, ordering: str = DEFAULT_ORDERING) -> GramSpectrum:
     ``algebraic`` sorts by signed value descending; ``magnitude`` sorts by
     absolute value descending (signed values are kept either way).
     """
-    if ordering not in ORDERINGS:
-        raise ValueError(f"ordering must be one of {ORDERINGS}, got {ordering!r}")
     G_c = np.asarray(G_c, dtype=float)
     if not np.all(np.isfinite(G_c)):
         raise SpectrumError("matrix contains non-finite entries")

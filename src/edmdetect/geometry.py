@@ -51,18 +51,22 @@ class ScenarioGeometry:
     Raises
     ------
     GeometryError
-        If fewer than 5 satellites are given, any two points (satellites or
-        receiver) are closer than 1 m, or the full point set is coplanar
-        (rank of the centered position stack < 3).
+        If the arrays have the wrong shape or non-finite entries, fewer than
+        5 satellites are given, any two points (satellites or receiver) are
+        closer than 1 m, or the full point set is coplanar (rank of the
+        centered position stack < 3).
     """
 
     receiver: np.ndarray
     satellites: np.ndarray
 
     def __post_init__(self):
-        self.receiver = np.asarray(self.receiver, dtype=float).reshape(3)
+        self.receiver = np.asarray(self.receiver, dtype=float)
         self.satellites = np.atleast_2d(np.asarray(self.satellites, dtype=float))
-        if self.satellites.shape[1] != 3:
+        if self.receiver.size != 3:
+            raise GeometryError(f"receiver must be 3 coordinates, got {self.receiver.shape}")
+        self.receiver = self.receiver.reshape(3)
+        if self.satellites.ndim != 2 or self.satellites.shape[1] != 3:
             raise GeometryError(
                 f"satellites must be (m, 3), got {self.satellites.shape}"
             )
@@ -72,6 +76,8 @@ class ScenarioGeometry:
                 f"need at least 5 satellites for a 5-eigenvalue test statistic, got {m}"
             )
         pts = np.vstack([self.receiver, self.satellites])
+        if not np.all(np.isfinite(pts)):
+            raise GeometryError("receiver and satellite positions must be finite")
         diffs = pts[:, None, :] - pts[None, :, :]
         dist = np.linalg.norm(diffs, axis=2)
         np.fill_diagonal(dist, np.inf)
@@ -104,13 +110,17 @@ class NoiseModel:
     fourth and fifth eigenvalues when the physical bias alone is too small.
     """
 
-    sigma_v: float
+    sigma_v: float = DEFAULT_SIGMA_V_M
     bias_b: float = DEFAULT_BIAS_M
     bias_inflation: float = 0.0
 
     def __post_init__(self):
-        if not self.sigma_v > 0:
-            raise ValueError(f"sigma_v must be > 0, got {self.sigma_v}")
+        if not (self.sigma_v > 0 and np.isfinite(self.sigma_v)):
+            raise ValueError(f"sigma_v must be finite and > 0, got {self.sigma_v}")
+        if not np.isfinite(self.effective_bias):
+            raise ValueError(
+                f"clock bias must be finite, got {self.bias_b} + {self.bias_inflation}"
+            )
 
     @property
     def effective_bias(self) -> float:
@@ -244,21 +254,54 @@ def nominal_pseudoranges(d: np.ndarray, nm: NoiseModel) -> PseudorangeSample:
 # Scenario files
 # ---------------------------------------------------------------------------
 #
-# YAML mapping with SI-meter values. Either an explicit point set:
-#
-#   receiver: [x, y, z]
-#   satellites: [[x, y, z], ...]
-#
-# or generated geometry:
-#
-#   constellation: {n_sats: 12, elevation_mask_deg: 10.0,
-#                   orbit_radius_m: 26560000.0}
-#   seed: 1
-#
-# plus the noise keys (all optional): sigma_v, bias_b, bias_inflation.
+# A YAML mapping with SI-meter values: either an explicit point set
+# (receiver: [x, y, z]; satellites: [[x, y, z], ...]) or a generated one
+# (constellation: {n_sats, elevation_mask_deg, orbit_radius_m}; seed), plus
+# the optional noise keys sigma_v, bias_b and bias_inflation. The README
+# gives a full example.
 
-def parse_scenario(mapping: dict) -> tuple[ScenarioGeometry, NoiseModel]:
-    """Build (geometry, noise model) from a scenario mapping."""
+def config_value(mapping: dict, key: str, kind, default=None):
+    """``kind(mapping.get(key, default))``; a value ``kind`` rejects raises ConfigError."""
+    value = mapping.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"invalid value for {key}: {value!r}") from None
+
+
+@dataclass(frozen=True)
+class GeometrySpec:
+    """A scenario geometry as parsed by parse_geometry, not yet built.
+
+    ``kwargs`` are the arguments of ScenarioGeometry for an explicit point
+    set, else of generate_constellation. ``given`` is False when the mapping
+    named no geometry and the default constellation stands in.
+    """
+
+    kwargs: dict
+    given: bool
+
+    def build(self) -> ScenarioGeometry:
+        if "satellites" in self.kwargs:
+            return ScenarioGeometry(**self.kwargs)
+        return generate_constellation(**self.kwargs)
+
+    def provenance(self) -> dict:
+        """The values that produced the geometry; explicit points record only their count."""
+        kw = dict(self.kwargs)
+        if "satellites" in kw:
+            return {"n_sats": kw["satellites"].shape[0]}
+        kw["scenario_seed"] = kw.pop("seed")
+        return kw
+
+
+def parse_geometry(mapping: dict) -> GeometrySpec:
+    """Parse the geometry keys (receiver, satellites, constellation, seed).
+
+    This is the only reader of those keys and the only holder of their
+    defaults; a mapping that names no geometry gets the default
+    constellation.
+    """
     if not isinstance(mapping, dict):
         raise ConfigError(f"scenario must be a mapping, got {type(mapping).__name__}")
     has_explicit = "receiver" in mapping or "satellites" in mapping
@@ -268,45 +311,65 @@ def parse_scenario(mapping: dict) -> tuple[ScenarioGeometry, NoiseModel]:
     if has_explicit:
         if "receiver" not in mapping or "satellites" not in mapping:
             raise ConfigError("explicit scenarios need both receiver and satellites")
-        geom = ScenarioGeometry(
-            receiver=np.asarray(mapping["receiver"], dtype=float),
-            satellites=np.asarray(mapping["satellites"], dtype=float),
-        )
-    elif has_generated:
-        params = dict(mapping["constellation"] or {})
-        unknown = set(params) - {"n_sats", "elevation_mask_deg", "orbit_radius_m"}
-        if unknown:
-            raise ConfigError(f"unknown constellation keys: {sorted(unknown)}")
-        geom = generate_constellation(
-            n_sats=int(params.get("n_sats", 12)),
-            elevation_mask_deg=float(
-                params.get("elevation_mask_deg", DEFAULT_ELEVATION_MASK_DEG)
-            ),
-            orbit_radius_m=float(params.get("orbit_radius_m", DEFAULT_ORBIT_RADIUS_M)),
-            seed=int(mapping.get("seed", 1)),
-        )
-    else:
+        points = {
+            key: config_value(mapping, key, lambda v: np.asarray(v, dtype=float))
+            for key in ("receiver", "satellites")
+        }
+        return GeometrySpec(points, given=True)
+    params = mapping.get("constellation") or {}
+    if not isinstance(params, dict):
+        raise ConfigError(f"constellation must be a mapping, got {params!r}")
+    unknown = set(params) - {"n_sats", "elevation_mask_deg", "orbit_radius_m"}
+    if unknown:
+        raise ConfigError(f"unknown constellation keys: {sorted(unknown)}")
+    kwargs = {
+        "n_sats": config_value(params, "n_sats", int, 12),
+        "elevation_mask_deg": config_value(
+            params, "elevation_mask_deg", float, DEFAULT_ELEVATION_MASK_DEG
+        ),
+        "orbit_radius_m": config_value(params, "orbit_radius_m", float, DEFAULT_ORBIT_RADIUS_M),
+        "seed": config_value(mapping, "seed", int, 1),
+    }
+    return GeometrySpec(kwargs, given=has_generated)
+
+
+def parse_noise(mapping: dict) -> NoiseModel:
+    """NoiseModel from the noise keys; absent keys keep NoiseModel's defaults."""
+    kwargs = {
+        key: config_value(mapping, key, float)
+        for key in ("sigma_v", "bias_b", "bias_inflation")
+        if key in mapping
+    }
+    try:
+        return NoiseModel(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def parse_scenario(mapping: dict) -> tuple[ScenarioGeometry, NoiseModel]:
+    """Build (geometry, noise model) from a scenario mapping that names a geometry."""
+    spec = parse_geometry(mapping)
+    if not spec.given:
         raise ConfigError("scenario needs receiver/satellites or a constellation block")
-    nm = NoiseModel(
-        sigma_v=float(mapping.get("sigma_v", DEFAULT_SIGMA_V_M)),
-        bias_b=float(mapping.get("bias_b", DEFAULT_BIAS_M)),
-        bias_inflation=float(mapping.get("bias_inflation", 0.0)),
-    )
-    return geom, nm
+    return spec.build(), parse_noise(mapping)
+
+
+def read_mapping(path: str | Path) -> dict:
+    """The YAML document of a config or scenario file; an empty file gives {}."""
+    path = Path(path)
+    if not path.is_file():
+        raise ConfigError(f"file not found: {path}")
+    try:
+        doc = yaml.safe_load(path.read_text())
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    return {} if doc is None else doc
 
 
 def load_scenario_file(path: str | Path) -> tuple[ScenarioGeometry, NoiseModel]:
     """Read a YAML scenario file (schema above, documented in the README)."""
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"scenario file not found: {path}")
-    try:
-        mapping = yaml.safe_load(path.read_text())
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse scenario file {path}: {exc}") from exc
+    mapping = read_mapping(path)
     try:
         return parse_scenario(mapping)
-    except ConfigError:
-        raise
-    except (GeometryError, ValueError, TypeError) as exc:
+    except GeometryError as exc:
         raise ConfigError(f"invalid scenario in {path}: {exc}") from exc

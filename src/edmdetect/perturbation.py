@@ -264,9 +264,7 @@ def predict_q_distribution(
         )
     d = geometry.true_ranges(g)
     sample = geometry.nominal_pseudoranges(d, nm)
-    D = edm.edm_from_gram(edm.gram_from_positions(g.satellites.T))
-    G_c = edm.gram_centered(edm.augment_edm(D, sample.rho))
-    spec = edm.spectrum(G_c, ordering)
+    spec = edm.spectrum(edm.centered_gram(g.satellites, sample.rho), ordering)
     gs = gram_sensitivities(sample.rho)
     table = eigenvalue_sensitivities(spec, gs, TRACKED_DEFAULT, gap_tol_rel)
 

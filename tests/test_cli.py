@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from edmdetect import generate_constellation
 from edmdetect.cli import (
     EXIT_AUDIT,
     EXIT_CONFIG,
@@ -178,6 +179,56 @@ class TestConfigHandling:
         assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         doc = json.loads((out / "summary.json").read_text())
         assert doc["n_trials"] == 120
+
+    @pytest.mark.parametrize(
+        "argv, config_text",
+        [
+            (["simulate", "--trials", "1"], None),
+            (["predict", "--sigma", "-1"], None),
+            (["predict", "--sigma", "nan"], None),
+            (["predict", "--sigma", "inf"], None),
+            (["predict", "--bias", "nan"], None),
+            (["predict", "--inflate-bias", "inf"], None),
+            (["audit", "--fd-step", "10"], None),
+            (["simulate", "--workers", "0"], None),
+            (["predict"], "constellation: {n_sats: abc}\n"),
+            (["predict"], "sigma_v: foo\n"),
+            (["predict"], "trials: many\n"),
+            (["predict"], "constellation: 12\n"),
+            (["predict"], "receiver: [1.0, 2.0]\nsatellites: [[1.0, 2.0, 3.0], [4.0]]\n"),
+        ],
+    )
+    def test_invalid_values_are_one_line_config_errors(self, tmp_path, capsys, argv, config_text):
+        if config_text is not None:
+            cfg = tmp_path / "cfg.yaml"
+            cfg.write_text(config_text)
+            argv = argv + ["--config", str(cfg)]
+        assert run(argv + ["--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error (config): ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_provenance_records_the_geometry_actually_used(self, tmp_path):
+        sats = generate_constellation(7, seed=3)
+        explicit = tmp_path / "explicit.yaml"
+        explicit.write_text(
+            f"receiver: {sats.receiver.tolist()}\nsatellites: {sats.satellites.tolist()}\n"
+        )
+        generated = tmp_path / "generated.yaml"
+        generated.write_text("constellation: {n_sats: 7, elevation_mask_deg: 5.0}\nseed: 3\n")
+        docs = {}
+        for cfg in (explicit, generated):
+            out = tmp_path / cfg.stem
+            assert run(["predict", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+            docs[cfg.stem] = json.loads((out / "prediction.json").read_text())["config"]
+        generator_keys = {"elevation_mask_deg", "orbit_radius_m", "scenario_seed"}
+        assert docs["explicit"]["n_sats"] == 7
+        assert docs["explicit"]["scenario_file"] == str(explicit)
+        assert not generator_keys & set(docs["explicit"])
+        assert docs["generated"]["n_sats"] == 7
+        assert docs["generated"]["elevation_mask_deg"] == 5.0
+        assert docs["generated"]["scenario_seed"] == 3
+        assert generator_keys <= set(docs["generated"])
 
     def test_exit_codes_are_distinct(self):
         assert len({EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_AUDIT}) == 4

@@ -8,6 +8,7 @@ from edmdetect import (
     NoiseModel,
     SpectrumError,
     augment_edm,
+    centered_gram,
     centering_matrix,
     edm_from_gram,
     gram_centered,
@@ -17,7 +18,7 @@ from edmdetect import (
     test_statistic as q_statistic,
     true_ranges,
 )
-from edmdetect.edm import ORDERING_ALGEBRAIC, ORDERING_MAGNITUDE
+from edmdetect.edm import ORDERING_ALGEBRAIC, ORDERING_MAGNITUDE, _order_indices
 
 RNG = np.random.default_rng(2024)
 
@@ -30,11 +31,6 @@ def pairwise_sq_dist_oracle(points):
         for j in range(n):
             D[i, j] = sum((points[i][k] - points[j][k]) ** 2 for k in range(3))
     return D
-
-
-def centered_gram_for(scenario, rho):
-    D = edm_from_gram(gram_from_positions(scenario.satellites.T))
-    return gram_centered(augment_edm(D, rho))
 
 
 class TestGramFromPositions:
@@ -81,7 +77,6 @@ class TestAugmentEdm:
     def test_single_entry(self):
         out = augment_edm(np.array([[0.0]]), np.array([5.0]))
         np.testing.assert_array_equal(out.entries, [[0.0, 25.0], [25.0, 0.0]])
-        assert out.kind == "augmented"
 
     def test_consistent_measurements_give_exact_edm(self, scenario12):
         # Zero-noise zero-bias pseudoranges: the augmented matrix must equal
@@ -113,7 +108,7 @@ class TestGramCentered:
 
     def test_row_sums_vanish(self, scenario12, noise_default):
         d = true_ranges(scenario12)
-        G_c = centered_gram_for(scenario12, d + noise_default.effective_bias)
+        G_c = centered_gram(scenario12.satellites, d + noise_default.effective_bias)
         ones = np.ones(G_c.shape[0])
         assert np.linalg.norm(G_c @ ones) <= 1e-9 * np.linalg.norm(G_c)
 
@@ -124,9 +119,26 @@ class TestGramCentered:
     def test_consistent_case_has_three_nonzero_eigenvalues(self, scenario12):
         # Noiseless, zero-bias: the centered Gram collapses to rank 3.
         d = true_ranges(scenario12)
-        w = spectrum(centered_gram_for(scenario12, d), ORDERING_MAGNITUDE).eigenvalues
+        w = spectrum(centered_gram(scenario12.satellites, d), ORDERING_MAGNITUDE).eigenvalues
         n_nonzero = int(np.sum(np.abs(w) > 1e-9 * np.abs(w).max()))
         assert n_nonzero == 3
+
+
+@pytest.mark.parametrize("lead", [(1,), (5,), (2, 3)])
+@pytest.mark.parametrize("ordering", [ORDERING_ALGEBRAIC, ORDERING_MAGNITUDE])
+def test_batched_gram_and_ordering_match_rowwise(scenario12, noise_default, lead, ordering):
+    # A stack of pseudorange vectors must give, bit for bit, the matrices
+    # built one vector at a time; likewise for the eigenvalue ranking.
+    d = true_ranges(scenario12)
+    rho = d + noise_default.effective_bias + RNG.normal(0.0, 3.0, size=lead + d.shape)
+    block = centered_gram(scenario12.satellites, rho)
+    rows = [centered_gram(scenario12.satellites, r) for r in rho.reshape(-1, d.size)]
+    assert np.array_equal(block, np.reshape(rows, block.shape))
+    # Small integers force ties, including +/- pairs under magnitude ranking.
+    w = RNG.integers(-3, 4, size=lead + (9,)).astype(float)
+    idx = _order_indices(w, ordering)
+    rows = [_order_indices(r, ordering) for r in w.reshape(-1, 9)]
+    assert np.array_equal(idx, np.reshape(rows, idx.shape))
 
 
 class TestSpectrum:
@@ -155,14 +167,14 @@ class TestSpectrum:
 
     def test_spectral_reconstruction(self, scenario12, noise_default):
         d = true_ranges(scenario12)
-        G_c = centered_gram_for(scenario12, d + noise_default.effective_bias)
+        G_c = centered_gram(scenario12.satellites, d + noise_default.effective_bias)
         s = spectrum(G_c)
         recon = (s.eigenvectors * s.eigenvalues[None, :]) @ s.eigenvectors.T
         assert np.abs(recon - G_c).max() <= 1e-6 * np.abs(G_c).max()
 
     def test_eigenpair_invariants(self, scenario12, noise_default):
         d = true_ranges(scenario12)
-        G_c = centered_gram_for(scenario12, d + noise_default.effective_bias)
+        G_c = centered_gram(scenario12.satellites, d + noise_default.effective_bias)
         s = spectrum(G_c)
         V = s.eigenvectors
         np.testing.assert_allclose(V.T @ V, np.eye(s.n), atol=1e-9)
@@ -194,29 +206,29 @@ class TestTestStatistic:
 
     def test_consistent_case_gives_zero(self, scenario12):
         d = true_ranges(scenario12)
-        q = q_statistic(spectrum(centered_gram_for(scenario12, d)))
+        q = q_statistic(spectrum(centered_gram(scenario12.satellites, d)))
         assert abs(q) <= 1e-9
 
     def test_scale_invariance(self, scenario12, noise_default):
         d = true_ranges(scenario12)
         rho = nominal_pseudoranges(d, noise_default).rho
-        q1 = q_statistic(spectrum(centered_gram_for(scenario12, rho)))
+        q1 = q_statistic(spectrum(centered_gram(scenario12.satellites, rho)))
         for c in (0.001, 7.3, 1024.0):
             scaled = type(scenario12)(
                 receiver=c * scenario12.receiver, satellites=c * scenario12.satellites
             )
-            q2 = q_statistic(spectrum(centered_gram_for(scaled, c * rho)))
+            q2 = q_statistic(spectrum(centered_gram(scaled.satellites, c * rho)))
             assert q2 == pytest.approx(q1, rel=1e-6)
 
     def test_permutation_invariance(self, scenario12, noise_default):
         d = true_ranges(scenario12)
         rho = d + noise_default.effective_bias
-        base = np.sort(spectrum(centered_gram_for(scenario12, rho)).eigenvalues)
+        base = np.sort(spectrum(centered_gram(scenario12.satellites, rho)).eigenvalues)
         perm = RNG.permutation(scenario12.m)
         permuted = type(scenario12)(
             receiver=scenario12.receiver, satellites=scenario12.satellites[perm]
         )
-        other = np.sort(spectrum(centered_gram_for(permuted, rho[perm])).eigenvalues)
+        other = np.sort(spectrum(centered_gram(permuted.satellites, rho[perm])).eigenvalues)
         np.testing.assert_allclose(other, base, rtol=1e-9, atol=1e-9 * np.abs(base).max())
 
     def test_requires_five_eigenvalues(self):
@@ -236,6 +248,6 @@ def test_bias_activation_adds_two_eigenvalues(scenario12):
     d = true_ranges(scenario12)
     nm = NoiseModel(sigma_v=1.0, bias_b=1.0e5)
     rho = nominal_pseudoranges(d, nm).rho
-    w = spectrum(centered_gram_for(scenario12, rho)).eigenvalues
+    w = spectrum(centered_gram(scenario12.satellites, rho)).eigenvalues
     n_nonzero = int(np.sum(np.abs(w) > 1e-9 * np.abs(w).max()))
     assert n_nonzero == 5

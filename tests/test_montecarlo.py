@@ -11,12 +11,9 @@ from edmdetect import (
     NoiseModel,
     PseudorangeSample,
     SpectrumError,
-    augment_edm,
-    edm_from_gram,
+    centered_gram,
     finite_difference_audit,
     generate_constellation,
-    gram_centered,
-    gram_from_positions,
     inject_fault,
     predict_q_distribution,
     run_trials,
@@ -48,8 +45,7 @@ GOLDEN_PROVENANCE = {
 
 
 def q_of_sample(scenario, sample, ordering="magnitude"):
-    D = edm_from_gram(gram_from_positions(scenario.satellites.T))
-    return q_statistic(spectrum(gram_centered(augment_edm(D, sample.rho)), ordering))
+    return q_statistic(spectrum(centered_gram(scenario.satellites, sample.rho), ordering))
 
 
 def synthetic_batch(qs, lams=None):

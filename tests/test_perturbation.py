@@ -15,13 +15,10 @@ import pytest
 from edmdetect import (
     DegenerateEigenvalueError,
     NoiseModel,
-    augment_edm,
+    centered_gram,
     detection_threshold,
-    edm_from_gram,
     eigenvalue_sensitivities,
     eigenvalue_variance,
-    gram_centered,
-    gram_from_positions,
     gram_sensitivities,
     nominal_pseudoranges,
     numerator_moments,
@@ -126,9 +123,7 @@ def normal_quantile_oracle(p, tol=1e-12):
 def nominal_pipeline(scenario, nm, ordering=ORDERING_MAGNITUDE):
     d = true_ranges(scenario)
     rho = nominal_pseudoranges(d, nm).rho
-    D = edm_from_gram(gram_from_positions(scenario.satellites.T))
-    G_c = gram_centered(augment_edm(D, rho))
-    return rho, spectrum(G_c, ordering)
+    return rho, spectrum(centered_gram(scenario.satellites, rho), ordering)
 
 
 # ---------------------------------------------------------------------------
