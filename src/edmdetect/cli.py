@@ -95,6 +95,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     """
     doc = geometry.read_mapping(args.config) if args.config is not None else {}
     spec = geometry.parse_geometry(doc)
+    unknown = set(doc) - {*geometry.GEOMETRY_KEYS, *geometry.NOISE_KEYS, *_RUN_KEYS}
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(map(str, unknown))}")
     doc = {**doc, **{
         key: value for key, value in vars(args).items()
         if value is not None and key not in ("command", "config")

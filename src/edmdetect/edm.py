@@ -162,6 +162,64 @@ def centered_gram(satellites: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return gram_centered(augment_edm(D, rho))
 
 
+def centered_gram_eigvals(satellites: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Eigenvalues (..., m+1) of centered_gram(satellites, rho), unordered.
+
+    With the receiver slot at the origin, P = [0; S] and J the centering
+    projector, the centered Gram matrix splits as
+
+        G_c = A A^T + 1/2 (u w^T + w u^T),  A = J P,  u = J e0,
+        w = J [0; |s_j|^2 - rho_j^2],
+
+    so its rank is at most 5 (Dokmanic et al., "Euclidean Distance
+    Matrices", IEEE SPM 2015). An orthonormal basis Q0 of [A, u] is fixed by
+    the geometry; each pseudorange vector adds one direction, the part of w
+    outside Q0. G_c restricted to those five directions is a 5x5 matrix H
+    whose eigenvalues are the non-zero ones of G_c (Rayleigh-Ritz, exact
+    here); the other m - 4 are exact zeros. Each row costs O(m) plus a 5x5
+    eigensolve, and every per-row reduction is elementwise, so a row's
+    values do not depend on how many rows are stacked with it.
+    """
+    S = np.asarray(satellites, dtype=float)
+    if not np.all(np.isfinite(S)):
+        raise ValueError("positions must be finite")
+    rho = np.asarray(rho, dtype=float)
+    m = S.shape[0]
+    if rho.ndim == 0 or rho.shape[-1] != m:
+        raise ValueError(
+            f"pseudorange vectors need {m} entries, one per satellite, got shape {rho.shape}"
+        )
+    if np.any(rho <= 0):
+        raise ValueError("pseudoranges must all be positive")
+    n = m + 1
+    P = np.vstack([np.zeros(3), S])
+    A = P - P.mean(axis=0)
+    u = np.full(n, -1.0 / n)
+    u[0] += 1.0
+    # Householder QR: Q0 is orthonormal even if A is rank-deficient.
+    Q0, _ = np.linalg.qr(np.column_stack([A, u]))
+    B = Q0.T @ A
+    M0 = B @ B.T
+    ut = Q0.T @ u
+
+    v = np.einsum("ij,ij->i", S, S) - rho**2
+    mean = v.sum(axis=-1, keepdims=True) / n
+    w = np.concatenate([-mean, v - mean], axis=-1)
+    a = np.stack([(w * q).sum(axis=-1) for q in Q0.T], axis=-1)
+    r = w
+    for i, q in enumerate(Q0.T):
+        r = r - a[..., i, None] * q
+    half_beta = 0.5 * np.sqrt((r * r).sum(axis=-1))
+
+    H = np.zeros(rho.shape[:-1] + (5, 5))
+    H[..., :4, :4] = M0 + 0.5 * (ut[:, None] * a[..., None, :] + a[..., :, None] * ut)
+    H[..., 4, :4] = half_beta[..., None] * ut
+    H[..., :4, 4] = H[..., 4, :4]
+    out = np.zeros(rho.shape[:-1] + (n,))
+    out[..., :5] = np.linalg.eigvalsh(H)
+    return out
+
+
 def _order_indices(w: np.ndarray, ordering: str) -> np.ndarray:
     """Indices ranking eigenvalues along the last axis per ``ordering``."""
     if ordering == ORDERING_ALGEBRAIC:

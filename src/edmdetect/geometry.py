@@ -260,6 +260,10 @@ def nominal_pseudoranges(d: np.ndarray, nm: NoiseModel) -> PseudorangeSample:
 # the optional noise keys sigma_v, bias_b and bias_inflation. The README
 # gives a full example.
 
+GEOMETRY_KEYS = ("receiver", "satellites", "constellation", "seed")
+NOISE_KEYS = ("sigma_v", "bias_b", "bias_inflation")
+
+
 def config_value(mapping: dict, key: str, kind, default=None):
     """``kind(mapping.get(key, default))``; a value ``kind`` rejects raises ConfigError."""
     value = mapping.get(key, default)
@@ -311,6 +315,8 @@ def parse_geometry(mapping: dict) -> GeometrySpec:
     if has_explicit:
         if "receiver" not in mapping or "satellites" not in mapping:
             raise ConfigError("explicit scenarios need both receiver and satellites")
+        if "seed" in mapping:
+            raise ConfigError("seed applies to a generated constellation, not to explicit points")
         points = {
             key: config_value(mapping, key, lambda v: np.asarray(v, dtype=float))
             for key in ("receiver", "satellites")
@@ -337,7 +343,7 @@ def parse_noise(mapping: dict) -> NoiseModel:
     """NoiseModel from the noise keys; absent keys keep NoiseModel's defaults."""
     kwargs = {
         key: config_value(mapping, key, float)
-        for key in ("sigma_v", "bias_b", "bias_inflation")
+        for key in NOISE_KEYS
         if key in mapping
     }
     try:
@@ -360,9 +366,14 @@ def read_mapping(path: str | Path) -> dict:
     if not path.is_file():
         raise ConfigError(f"file not found: {path}")
     try:
-        doc = yaml.safe_load(path.read_text())
+        doc = yaml.safe_load(path.read_bytes())
     except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}") from exc
+        mark = getattr(exc, "problem_mark", None)
+        if getattr(exc, "problem", None) and mark is not None:
+            detail = f"{exc.problem} at line {mark.line + 1}, column {mark.column + 1}"
+        else:
+            detail = " ".join(str(exc).split())
+        raise ConfigError(f"cannot parse {path}: {detail}") from None
     return {} if doc is None else doc
 
 

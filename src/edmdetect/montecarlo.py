@@ -7,7 +7,10 @@ distribution with the first-order prediction. Trials run in fixed blocks of
 counter-based stream keyed on the master seed with counter b (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC'11). Trial t's noise thus
 depends only on (master_seed, t): results are bit-identical for any worker
-count, and a short run is a bit-exact prefix of a longer one.
+count, and a short run is a bit-exact prefix of a longer one. Each trial's
+spectrum comes from edm.centered_gram_eigvals, a rank-5 Rayleigh-Ritz
+kernel: O(m) work and a 5x5 eigensolve per trial instead of building and
+solving the (m+1)x(m+1) centered Gram matrix.
 """
 
 from __future__ import annotations
@@ -153,13 +156,10 @@ def _trial_block(
     ordering: str,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run the first k trials of a block: returns (q, first-5 eigenvalues, q_alt)."""
-    # edm.centered_gram's steps, spelled out to keep both stacks allocated until
-    # the block returns: freed earlier, glibc trims and refaults ~4 MB of heap
-    # per block, 0.25 s more system time per 100k trials at m = 12.
-    D = edm.edm_from_gram(edm.gram_from_positions(satellites.T))
-    D_c = edm.augment_edm(D, d + b_eff + block_noise(key, block, k, d.shape[0], sigma_v))
-    G_c = edm.gram_centered(D_c)
-    w = np.linalg.eigvalsh(G_c)
+    rho = d + b_eff + block_noise(key, block, k, d.shape[0], sigma_v)
+    # Columns 5.. are exact zeros, so ranking the five Ritz values with one of
+    # them gives the same first five values as ranking all m + 1.
+    w = edm.centered_gram_eigvals(satellites, rho)[:, :6]
     w_main, w_alt = (
         np.take_along_axis(w, edm._order_indices(w, order), axis=-1)
         for order in (ordering, _other_ordering(ordering))
@@ -448,17 +448,25 @@ def write_trials_csv(
 ) -> None:
     """Columns: trial, q, lambda1..lambda5, exceeded (empty if no threshold).
 
-    Floats are written with repr, so every value round-trips exactly.
+    Floats are written with repr, so every value round-trips exactly. Rows
+    are formatted one block of trials at a time, so memory stays flat in
+    the run length.
     """
-    cols = [range(len(batch)), batch.q.tolist(), *batch.lambdas.T.tolist()]
     if batch.exceeded is None:
         fmt = "%d,%r,%r,%r,%r,%r,%r,\r\n"
     else:
         fmt = "%d,%r,%r,%r,%r,%r,%r,%d\r\n"
-        cols.append(batch.exceeded.tolist())
+
+    def rows():
+        for start in range(0, len(batch), _BLOCK):
+            sl = slice(start, min(start + _BLOCK, len(batch)))
+            cols = [range(sl.start, sl.stop), batch.q[sl].tolist(), *batch.lambdas[sl].T.tolist()]
+            if batch.exceeded is not None:
+                cols.append(batch.exceeded[sl].tolist())
+            yield "".join([fmt % row for row in zip(*cols)])
+
     _write_csv(
-        path, provenance, "trial,q,lambda1,lambda2,lambda3,lambda4,lambda5,exceeded",
-        (fmt % row for row in zip(*cols)),
+        path, provenance, "trial,q,lambda1,lambda2,lambda3,lambda4,lambda5,exceeded", rows()
     )
 
 

@@ -196,6 +196,10 @@ class TestConfigHandling:
             (["predict"], "trials: many\n"),
             (["predict"], "constellation: 12\n"),
             (["predict"], "receiver: [1.0, 2.0]\nsatellites: [[1.0, 2.0, 3.0], [4.0]]\n"),
+            (["predict"], "sigmav: 10\n"),
+            (["predict"], "receiver: [1.0, 2.0, 3.0]\nsatellites: [[4.0, 5.0, 6.0]]\nseed: 3\n"),
+            (["predict"], "sigma_v: [1, 2\n"),
+            (["predict"], "sigma_v: \x07\n"),
         ],
     )
     def test_invalid_values_are_one_line_config_errors(self, tmp_path, capsys, argv, config_text):

@@ -9,6 +9,7 @@ from edmdetect import (
     SpectrumError,
     augment_edm,
     centered_gram,
+    centered_gram_eigvals,
     centering_matrix,
     edm_from_gram,
     gram_centered,
@@ -139,6 +140,35 @@ def test_batched_gram_and_ordering_match_rowwise(scenario12, noise_default, lead
     idx = _order_indices(w, ordering)
     rows = [_order_indices(r, ordering) for r in w.reshape(-1, 9)]
     assert np.array_equal(idx, np.reshape(rows, idx.shape))
+
+
+class TestCenteredGramEigvals:
+    @pytest.mark.parametrize("lead", [(), (1,), (7,), (2, 3)])
+    def test_matches_full_eigensolve_and_stacks_rowwise(self, scenario12, noise_default, lead):
+        # The rank-5 kernel returns the spectrum of centered_gram: five Ritz
+        # values plus m - 4 exact zeros. Each row's values are bit-identical
+        # whether it is computed alone or in a stack.
+        d = true_ranges(scenario12)
+        rho = d + noise_default.effective_bias + RNG.normal(0.0, 3.0, size=lead + d.shape)
+        w = centered_gram_eigvals(scenario12.satellites, rho)
+        assert w.shape == lead + (d.size + 1,)
+        assert np.all(w[..., 5:] == 0.0)
+        full = np.linalg.eigvalsh(centered_gram(scenario12.satellites, rho))
+        scale = np.abs(full).max(axis=-1, keepdims=True)
+        assert np.all(np.abs(np.sort(w, axis=-1) - full) <= 1e-12 * scale)
+        rows = [centered_gram_eigvals(scenario12.satellites, r) for r in rho.reshape(-1, d.size)]
+        assert np.array_equal(w, np.reshape(rows, w.shape))
+
+    def test_typed_errors(self, scenario12):
+        d = true_ranges(scenario12)
+        bad = scenario12.satellites.copy()
+        bad[2, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            centered_gram_eigvals(bad, d)
+        with pytest.raises(ValueError, match="positive"):
+            centered_gram_eigvals(scenario12.satellites, np.where(np.arange(d.size) == 4, 0.0, d))
+        with pytest.raises(ValueError, match="entries"):
+            centered_gram_eigvals(scenario12.satellites, d[:-1])
 
 
 class TestSpectrum:

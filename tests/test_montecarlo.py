@@ -25,6 +25,7 @@ from edmdetect import (
 )
 from edmdetect.montecarlo import (
     TrialBatch,
+    _mp_eigenvalues,
     _trial_block,
     block_noise,
     ks_critical_value,
@@ -139,6 +140,14 @@ class TestRunTrials:
         )
         with pytest.raises(SpectrumError, match="trial 0"):
             run_trials(small_scenario, NoiseModel(3.0, 1e5), 4, 1)
+
+    def test_non_positive_pseudoranges_raise_value_error(self, small_scenario):
+        # A bias that drives some pseudoranges to or below zero is a typed
+        # error, never a batch of NaNs.
+        d = true_ranges(small_scenario)
+        nm = NoiseModel(sigma_v=3.0, bias_b=-float(np.median(d)))
+        with pytest.raises(ValueError, match="positive"):
+            run_trials(small_scenario, nm, 10, 1)
 
     def test_alt_ordering_statistic_recorded(self, small_scenario):
         nm = NoiseModel(sigma_v=3.0, bias_b=1.0e5)
@@ -311,6 +320,29 @@ class TestWriters:
         for name in ("trials.csv", "trials_no_exceeded.csv", "summary.json", "histogram.csv"):
             assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
 
+    @pytest.mark.parametrize("n", [1023, 1024, 1025, 2500])
+    @pytest.mark.parametrize("with_exceeded", [True, False])
+    def test_trials_csv_blocks_match_one_shot_format(self, tmp_path, n, with_exceeded):
+        # Rows are written a block at a time; the bytes must equal one
+        # %-format pass over the whole batch, across block boundaries.
+        rng = np.random.default_rng(n)
+        q = rng.normal(0.5, 0.05, size=n)
+        lams = rng.normal(size=(n, 5)) * 1e12
+        exceeded = q > 0.55 if with_exceeded else None
+        path = tmp_path / "trials.csv"
+        write_trials_csv(TrialBatch(q=q, lambdas=lams, exceeded=exceeded, q_alt=q), path,
+                         {"trials": n})
+        flags = exceeded.astype(int).tolist() if with_exceeded else [""] * n
+        expected = (
+            f"# trials={n}\n"
+            "trial,q,lambda1,lambda2,lambda3,lambda4,lambda5,exceeded\r\n"
+            + "".join(
+                "%d,%r,%r,%r,%r,%r,%r,%s\r\n" % row
+                for row in zip(range(n), q.tolist(), *lams.T.tolist(), flags)
+            )
+        )
+        assert path.read_bytes() == expected.encode()
+
     def test_trials_csv_columns(self, tmp_path):
         batch, _ = self.make_summary()
         path = tmp_path / "trials.csv"
@@ -382,3 +414,31 @@ def test_empirical_false_alarm_matches_target(small_scenario):
     rate = np.mean(batch.exceeded)
     band = 3 * np.sqrt(0.05 * 0.95 / 2000)
     assert abs(rate - 0.05) <= band + 0.01  # slack for approximation error
+
+
+@pytest.mark.parametrize("scenario, k", [("small_scenario", 40), ("scenario12", 10)])
+def test_trial_kernel_matches_extended_precision_oracle(request, scenario, k):
+    # Oracle: the 40-digit spectrum of the same pseudoranges. Tolerances,
+    # fixed in advance: q within 1e-13 and lambda1..lambda5 within 1e-9,
+    # both relative.
+    import mpmath
+
+    g = request.getfixturevalue(scenario)
+    nm = NoiseModel(sigma_v=3.0, bias_b=1.0e5)
+    d = true_ranges(g)
+    key = noise_key(7)
+    q, lams, _ = _trial_block(g.satellites, d, nm.sigma_v, nm.effective_bias, key, 0, k,
+                              "magnitude")
+    rho = d + nm.effective_bias + block_noise(key, 0, k, g.m, nm.sigma_v)
+    with mpmath.workdps(40):
+        for t in range(k):
+            ref = _mp_eigenvalues(g.satellites, [mpmath.mpf(float(x)) for x in rho[t]],
+                                  "magnitude")[:5]
+            q_ref = (ref[3] + ref[4]) / (2 * ref[0])
+            assert abs(float(q[t]) - q_ref) <= 1e-13 * abs(q_ref), t
+            for i in range(5):
+                assert abs(float(lams[t, i]) - ref[i]) <= 1e-9 * abs(ref[i]), (t, i)
+    # Under algebraic ranking position 5 is the zero cluster, exactly.
+    _, lams_alg, _ = _trial_block(g.satellites, d, nm.sigma_v, nm.effective_bias, key, 0, k,
+                                  "algebraic")
+    assert np.all(lams_alg[:, 4] == 0.0)
