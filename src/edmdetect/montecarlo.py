@@ -16,13 +16,13 @@ solving the (m+1)x(m+1) centered Gram matrix.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import edm, geometry
 from .errors import SpectrumError
@@ -40,6 +40,8 @@ KS_COEFF = {0.05: 1.358, 0.01: 1.628}
 FD_STEP_RANGE_M = (1e-6, 1.0)
 
 _CORRELATION_LABELS = ("lambda1", "lambda4", "lambda5", "lambda4+lambda5")
+
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -215,10 +217,13 @@ def run_trials(
 
 
 def _ks_statistic(sample: np.ndarray, mu: float, sigma: float) -> float:
-    """One-sample KS distance between the sample and N(mu, sigma^2)."""
+    """One-sample KS distance between the sample and N(mu, sigma^2).
+
+    Phi(z) = erfc(-z / sqrt(2)) / 2 is evaluated per value with math.erfc.
+    """
     x = np.sort(sample)
     n = x.shape[0]
-    F = ndtr((x - mu) / sigma)
+    F = np.array([0.5 * math.erfc(-z / _SQRT2) for z in ((x - mu) / sigma).tolist()])
     i = np.arange(1, n + 1)
     return float(max((i / n - F).max(), (F - (i - 1) / n).max()))
 
@@ -345,18 +350,23 @@ def _mp_eigenvalues(satellites: np.ndarray, rho, ordering: str):
     m = satellites.shape[0]
     n = m + 1
     pts = [[mpmath.mpf(float(c)) for c in row] for row in satellites]
-    D = mpmath.zeros(n, n)
+    D = [[mpmath.mpf(0)] * n for _ in range(n)]
     for i in range(m):
         for j in range(i + 1, m):
             dd = sum((pts[i][k] - pts[j][k]) ** 2 for k in range(3))
-            D[i + 1, j + 1] = dd
-            D[j + 1, i + 1] = dd
+            D[i + 1][j + 1] = dd
+            D[j + 1][i + 1] = dd
     for j in range(m):
         r2 = rho[j] ** 2
-        D[0, j + 1] = r2
-        D[j + 1, 0] = r2
-    J = mpmath.eye(n) - mpmath.ones(n, n) / n
-    Gc = -J * D * J / 2
+        D[0][j + 1] = r2
+        D[j + 1][0] = r2
+    # -J D J / 2 entry by entry: D is symmetric, so its row and column means
+    # coincide and G_ij = -(D_ij - r_i - r_j + r_bar) / 2, O(n^2) in all.
+    r = [sum(row) / n for row in D]
+    r_bar = sum(r) / n
+    Gc = mpmath.matrix(
+        [[-(D[i][j] - r[i] - r[j] + r_bar) / 2 for j in range(n)] for i in range(n)]
+    )
     E = mpmath.eigsy(Gc, eigvals_only=True)
     vals = [E[i] for i in range(n)]
     if ordering == edm.ORDERING_ALGEBRAIC:

@@ -15,10 +15,10 @@ denominator spread.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import edm, geometry
 from .errors import DegenerateEigenvalueError
@@ -292,16 +292,19 @@ def predict_q_distribution(
 def detection_threshold(dist: StatisticDistribution, p_fa: float) -> DetectionThresholds:
     """Gaussian detection thresholds at false-alarm probability ``p_fa``.
 
-    Returns both the symmetric two-sided pair mu_q -/+ z(1 - p_fa/2) sigma_q
-    and the one-sided upper threshold mu_q + z(1 - p_fa) sigma_q; the caller
-    picks. A zero sigma_q collapses everything onto mu_q and is flagged.
+    Returns both the symmetric two-sided pair mu_q -/+ z(p_fa/2) sigma_q and
+    the one-sided upper threshold mu_q + z(p_fa) sigma_q; the caller picks.
+    The upper-tail quantile z(p) = -Phi^-1(p) (statistics.NormalDist) keeps
+    full relative precision at small p, where Phi^-1(1 - p) loses digits to
+    the rounding of 1 - p. A zero sigma_q collapses everything onto mu_q and
+    is flagged.
     """
     if not 0.0 < p_fa < 0.5:
         raise ValueError(f"p_fa must lie in (0, 0.5), got {p_fa}")
     if dist.sigma_q == 0.0:
         return DetectionThresholds(dist.mu_q, dist.mu_q, dist.mu_q, p_fa, True)
-    z_two = ndtri(1.0 - p_fa / 2.0)
-    z_one = ndtri(1.0 - p_fa)
+    z_two = -NormalDist().inv_cdf(p_fa / 2.0)
+    z_one = -NormalDist().inv_cdf(p_fa)
     return DetectionThresholds(
         two_sided_lo=float(dist.mu_q - z_two * dist.sigma_q),
         two_sided_hi=float(dist.mu_q + z_two * dist.sigma_q),

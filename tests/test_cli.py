@@ -1,9 +1,14 @@
 """Command-line surface: flags, files, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import edmdetect
 from edmdetect import generate_constellation
 from edmdetect.cli import (
     EXIT_AUDIT,
@@ -236,3 +241,33 @@ class TestConfigHandling:
 
     def test_exit_codes_are_distinct(self):
         assert len({EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_AUDIT}) == 4
+
+
+class TestImportBudget:
+    # scipy is not a dependency, and mpmath is the audit's alone: `predict`
+    # and `simulate` must not import either. A fresh interpreter is needed,
+    # since the test session itself imports mpmath.
+    SCRIPT = """
+import json, sys
+from edmdetect import cli
+def loaded():
+    return sorted({name.partition(".")[0] for name in sys.modules} & {"scipy", "mpmath"})
+seen = {"import": loaded()}
+assert cli.main(["predict", "--out", sys.argv[1]]) == 0
+seen["predict"] = loaded()
+assert cli.main(["simulate", "--trials", "2048", "--out", sys.argv[1]]) == 0
+seen["simulate"] = loaded()
+print(json.dumps(seen))
+"""
+
+    def test_predict_and_simulate_load_neither_scipy_nor_mpmath(self, tmp_path):
+        src = str(Path(edmdetect.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert seen == {"import": [], "predict": [], "simulate": []}

@@ -25,6 +25,7 @@ from edmdetect import (
 )
 from edmdetect.montecarlo import (
     TrialBatch,
+    _ks_statistic,
     _mp_eigenvalues,
     _trial_block,
     block_noise,
@@ -187,6 +188,25 @@ class TestSummarize:
         assert s.degenerate
         assert s.q_std == 0.0
         assert s.ks_statistic == 1.0
+
+    @pytest.mark.parametrize("shift", [0.0, 0.3])
+    def test_ks_statistic_against_mpmath_oracle(self, shift):
+        # Oracle: the same distance with Phi from mpmath.ncdf at 40 digits.
+        # Tolerance, fixed in advance: 1e-15 absolute. The sample reaches past
+        # |z| = 8 in both tails, where Phi or 1 - Phi falls below 1e-15.
+        import mpmath
+
+        mu, sigma = 0.3, 0.07
+        rng = np.random.default_rng(31)
+        tails = mu + sigma * np.array([-40.0, -12.0, -8.5, 8.5, 12.0, 40.0])
+        qs = np.concatenate([rng.normal(mu + shift * sigma, sigma, size=2000), tails])
+        x = np.sort(qs)
+        n = x.shape[0]
+        with mpmath.workdps(40):
+            F = [mpmath.ncdf(mpmath.mpf(float(v)), mu, sigma) for v in x]
+            ref = max(max((i + 1) / mpmath.mpf(n) - f, f - mpmath.mpf(i) / n)
+                      for i, f in enumerate(F))
+            assert abs(_ks_statistic(qs, mu, sigma) - ref) <= 1e-15
 
     def test_histogram_partitions_sample(self):
         rng = np.random.default_rng(5)
@@ -442,3 +462,37 @@ def test_trial_kernel_matches_extended_precision_oracle(request, scenario, k):
     _, lams_alg, _ = _trial_block(g.satellites, d, nm.sigma_v, nm.effective_bias, key, 0, k,
                                   "algebraic")
     assert np.all(lams_alg[:, 4] == 0.0)
+
+
+@pytest.mark.parametrize("scenario", ["small_scenario", "scenario12"])
+@pytest.mark.parametrize("ordering", ["magnitude", "algebraic"])
+def test_mp_centering_matches_literal_projection(request, scenario, ordering):
+    # Reference: the literal -J D J / 2 product in mpmath. Both sides round
+    # at 40 digits in a different order, so eigenvalues may differ by a few
+    # units in the 40th digit of the matrix scale (about 1e-25 m^2 here).
+    # Tolerance, fixed in advance: 1e-35 of the largest |eigenvalue|.
+    import mpmath
+
+    g = request.getfixturevalue(scenario)
+    nm = NoiseModel(sigma_v=3.0, bias_b=1.0e5)
+    rho = true_ranges(g) + nm.effective_bias + block_noise(noise_key(3), 0, 1, g.m, 3.0)[0]
+    m, n = g.m, g.m + 1
+    with mpmath.workdps(40):
+        rho_mp = [mpmath.mpf(float(x)) for x in rho]
+        D = mpmath.zeros(n, n)
+        for i in range(m):
+            for j in range(m):
+                D[i + 1, j + 1] = sum(
+                    (mpmath.mpf(float(g.satellites[i][k])) - mpmath.mpf(float(g.satellites[j][k])))
+                    ** 2 for k in range(3)
+                )
+            D[0, i + 1] = D[i + 1, 0] = rho_mp[i] ** 2
+        J = mpmath.eye(n) - mpmath.ones(n, n) / n
+        E = mpmath.eigsy(-J * D * J / 2, eigvals_only=True)
+        ref = sorted((E[i] for i in range(n)),
+                     key=(lambda x: -x) if ordering == "algebraic" else (lambda x: -abs(x)))
+        got = _mp_eigenvalues(g.satellites, rho_mp, ordering)
+        assert len(got) == n
+        scale = max(abs(x) for x in ref)
+        for i in range(n):
+            assert abs(got[i] - ref[i]) <= 1e-35 * scale, i

@@ -3,7 +3,7 @@
 Oracles used here are independent of the code under test: matrix and
 eigenvalue central differences rebuilt from scratch (long-double and mpmath
 arithmetic), a brute-force sampling check for the Gaussian ratio, and an
-erfc-bisection quantile for thresholds.
+erfc-bisection quantile and a 50-digit erfinv for thresholds.
 """
 
 import math
@@ -424,6 +424,18 @@ class TestDetectionThreshold:
         z = normal_quantile_oracle(0.95)
         assert z == pytest.approx(1.6448536269514722, abs=1e-9)
         assert thr.one_sided_hi == pytest.approx(2.0 + 0.5 * z, abs=1e-9)
+
+    @pytest.mark.parametrize("p", [1e-2, 1e-3, 1e-5, 1e-7])
+    def test_upper_tail_quantile_against_erfinv_oracle(self, p):
+        # Oracle: z(p) = sqrt(2) erfinv(1 - 2p) at 50 digits. Tolerance, fixed
+        # in advance: 1e-15 relative. Phi^-1(1 - p) misses it at p_fa = 1e-3
+        # and below, where rounding 1 - p to a double loses the tail's digits.
+        thr = detection_threshold(self.make_dist(mu=0.0, sigma=1.0), p)
+        with mpmath.workdps(50):
+            for z, tail in ((thr.one_sided_hi, p), (thr.two_sided_hi, p / 2),
+                            (-thr.two_sided_lo, p / 2)):
+                ref = mpmath.sqrt(2) * mpmath.erfinv(1 - 2 * mpmath.mpf(tail))
+                assert abs(z - ref) <= 1e-15 * ref, (z, tail)
 
     @pytest.mark.parametrize("p", [0.0, 0.5, 0.9, -0.1])
     def test_pfa_domain(self, p):
