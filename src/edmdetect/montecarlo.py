@@ -24,9 +24,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from . import edm, geometry
+from . import edm, geometry, perturbation
 from .errors import SpectrumError
-from .perturbation import StatisticDistribution, eigenvalue_sensitivities, gram_sensitivities
+from .perturbation import StatisticDistribution
 
 # Trials are processed in fixed-size blocks so that batching (and the split
 # across workers) never depends on the worker count.
@@ -369,11 +369,7 @@ def _mp_eigenvalues(satellites: np.ndarray, rho, ordering: str):
     )
     E = mpmath.eigsy(Gc, eigvals_only=True)
     vals = [E[i] for i in range(n)]
-    if ordering == edm.ORDERING_ALGEBRAIC:
-        vals.sort(key=lambda x: -x)
-    else:
-        vals.sort(key=lambda x: -abs(x))
-    return vals
+    return [vals[i] for i in edm._order_indices(np.array(vals, dtype=object), ordering)]
 
 
 def finite_difference_audit(
@@ -381,45 +377,40 @@ def finite_difference_audit(
     nm: geometry.NoiseModel,
     h: float,
     ordering: str = edm.DEFAULT_ORDERING,
-    tracked: tuple[int, ...] = (1, 4, 5),
-    dps: int = 40,
 ) -> FiniteDifferenceAudit:
     """Audit the analytic sensitivities with a central-difference oracle.
 
     For every tracked eigenvalue position i and satellite j the oracle value
     is (lambda_i(v_j = +h) - lambda_i(v_j = -h)) / (2h) with each perturbed
-    spectrum recomputed through the full pipeline in ``dps``-digit
-    arithmetic (see _mp_eigenvalues). Discrepancies are relative with an
-    absolute floor of 1 m^2/m.
+    spectrum recomputed through the full pipeline in 40-digit arithmetic
+    (see _mp_eigenvalues). The analytic side is the nominal linearisation
+    the prediction uses. Discrepancies are relative with an absolute floor
+    of 1 m^2/m.
     """
     import mpmath
 
     lo, hi = FD_STEP_RANGE_M
     if not lo <= h <= hi:
         raise ValueError(f"step h must lie in [{lo:g}, {hi:g}] m, got {h}")
-    d = geometry.true_ranges(g)
-    sample = geometry.nominal_pseudoranges(d, nm)
-    spec = edm.spectrum(edm.centered_gram(g.satellites, sample.rho), ordering)
-    table = eigenvalue_sensitivities(spec, gram_sensitivities(sample.rho), tuple(tracked))
+    rho, table = perturbation._nominal_linearisation(g, nm, ordering)
 
-    m = g.m
-    fd = np.empty((len(tracked), m))
-    with mpmath.workdps(dps):
+    fd = np.empty(table.s.shape)
+    with mpmath.workdps(40):
         hm = mpmath.mpf(float(h))
-        rho_mp = [mpmath.mpf(float(x)) for x in sample.rho]
-        for j in range(m):
+        rho_mp = [mpmath.mpf(float(x)) for x in rho]
+        for j in range(g.m):
             plus = list(rho_mp)
             plus[j] += hm
             minus = list(rho_mp)
             minus[j] -= hm
             w_plus = _mp_eigenvalues(g.satellites, plus, ordering)
             w_minus = _mp_eigenvalues(g.satellites, minus, ordering)
-            for a, pos in enumerate(tracked):
+            for a, pos in enumerate(table.positions):
                 fd[a, j] = float((w_plus[pos - 1] - w_minus[pos - 1]) / (2 * hm))
     rel = relative_discrepancy(table.s, fd)
     return FiniteDifferenceAudit(
         h=h,
-        positions=tuple(tracked),
+        positions=table.positions,
         sensitivities=table.s,
         finite_differences=fd,
         relative_discrepancy=rel,

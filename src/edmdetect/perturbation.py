@@ -7,14 +7,19 @@ dG_j = dG_c/dv_j, the noise response of the eigenvalue is the linear form
     lambda ~ lambda_nom + sum_j (z^T dG_j z / z^T z) * v_j,
 
 so each tracked eigenvalue is Gaussian with an explicitly computable
-variance. The statistic q = (lambda_4 + lambda_5) / (2 * lambda_1) is then
+variance. Each dG_j = -rho_j (u c_j^T + c_j u^T), with u = J e_0 and
+c_j = J e_{j+1}, has rank 2, so the quotient has the O(m) closed form
+
+    s_ij = -2 rho_j (z_0 - zbar)(z_{j+1} - zbar) / z^T z,   zbar = mean(z).
+
+The statistic q = (lambda_4 + lambda_5) / (2 * lambda_1) is then
 approximated by the Gaussian for a ratio of two Gaussians with small
 denominator spread.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from statistics import NormalDist
 from typing import NamedTuple
 
@@ -31,6 +36,16 @@ TRACKED_DEFAULT = (1, 4, 5)
 # 1e5 m bias) yet well above double-precision spectral noise (~1e-15).
 GAP_TOL_REL_DEFAULT = 1e-12
 
+# What separates a degenerate tracked eigenvalue, per ordering. Under
+# algebraic ranking position 5 sits among the m - 4 exact zeros once m > 5.
+_DEGENERATE_ADVICE = {
+    edm.ORDERING_MAGNITUDE: "Increase the effective clock bias (bias inflation) to "
+    "separate the activated eigenvalues.",
+    edm.ORDERING_ALGEBRAIC: "Under algebraic ordering the positions past the positive "
+    "activated eigenvalue fall among the zero eigenvalues, which more bias cannot "
+    "separate; use magnitude ordering, which ranks the negative activated one fifth.",
+}
+
 # Denominator coefficient of variation above which the Gaussian ratio
 # approximation is no longer trusted; violations warn rather than fail.
 RATIO_CV_GUARD = 0.1
@@ -38,18 +53,24 @@ RATIO_CV_GUARD = 0.1
 
 @dataclass
 class GramSensitivity:
-    """Per-satellite derivatives of the centered Gram matrix.
+    """Per-satellite derivatives of the centered Gram matrix, held as rho.
 
-    ``matrices[j]`` is dG_c/dv_j at v = 0: symmetric, centered, units of
-    meters^2 per meter of pseudorange noise on satellite j.
+    dG_c/dv_j at v = 0 is fixed by the pseudorange rho_j alone (see
+    gram_sensitivities), so only rho is stored.
     """
 
-    matrices: np.ndarray  # (m, n, n) with n = m + 1
-    rho: np.ndarray  # (m,) pseudoranges the derivatives were taken at
+    rho: np.ndarray  # (m,) pseudoranges the derivatives are taken at
 
     @property
     def m(self) -> int:
-        return self.matrices.shape[0]
+        return self.rho.shape[0]
+
+    @property
+    def matrices(self) -> np.ndarray:
+        """The explicit (m, m+1, m+1) stack dG_j in m^2/m, built on every read."""
+        J = edm.centering_matrix(self.m + 1)  # u = J e_0 = J[0], c_j = J[j + 1]
+        outer = J[0][None, :, None] * J[1:, None, :]
+        return -self.rho[:, None, None] * (outer + np.swapaxes(outer, 1, 2))
 
 
 @dataclass
@@ -107,18 +128,7 @@ class StatisticDistribution:
     ordering: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "mu_num": self.mu_num,
-            "sigma_num": self.sigma_num,
-            "sigma_num_independent": self.sigma_num_independent,
-            "mu_den": self.mu_den,
-            "sigma_den": self.sigma_den,
-            "mu_q": self.mu_q,
-            "sigma_q": self.sigma_q,
-            "covariance_num_den": self.covariance_num_den,
-            "validity_warnings": list(self.validity_warnings),
-            "ordering": self.ordering,
-        }
+        return {**asdict(self), "validity_warnings": list(self.validity_warnings)}
 
 
 class DetectionThresholds(NamedTuple):
@@ -139,35 +149,24 @@ def gram_sensitivities(rho: np.ndarray) -> GramSensitivity:
 
     which is symmetric and centered by construction.
     """
-    rho = np.asarray(rho, dtype=float)
-    m = rho.shape[0]
-    n = m + 1
-    u = -np.full(n, 1.0 / n)
-    u[0] += 1.0  # J e_0
-    out = np.empty((m, n, n))
-    for j in range(m):
-        c = -np.full(n, 1.0 / n)
-        c[j + 1] += 1.0  # J e_{j+1}
-        out[j] = -rho[j] * (np.outer(u, c) + np.outer(c, u))
-    return GramSensitivity(matrices=out, rho=rho)
+    return GramSensitivity(rho=np.asarray(rho, dtype=float))
 
 
 def eigenvalue_sensitivities(
     spec: edm.GramSpectrum,
     gs: GramSensitivity,
     tracked: tuple[int, ...] = TRACKED_DEFAULT,
-    gap_tol_rel: float = GAP_TOL_REL_DEFAULT,
 ) -> SensitivityTable:
     """First-order response of tracked eigenvalues to each noise channel.
 
-    Every tracked eigenvalue must be simple: its gap to the rest of the
-    spectrum has to exceed ``gap_tol_rel`` times the largest eigenvalue
-    magnitude, otherwise its eigenvector (and the linearization) is not
-    well defined and a DegenerateEigenvalueError is raised.
+    Rows use the closed form of the module docstring. Every tracked
+    eigenvalue must be simple: its gap to the rest of the spectrum has to
+    exceed GAP_TOL_REL_DEFAULT times the largest eigenvalue magnitude,
+    otherwise its eigenvector (and the linearization) is not well defined
+    and a DegenerateEigenvalueError is raised.
     """
     w = spec.eigenvalues
-    scale = float(np.abs(w).max())
-    tol = gap_tol_rel * max(scale, 1.0)
+    tol = GAP_TOL_REL_DEFAULT * max(float(np.abs(w).max()), 1.0)
     rows = np.empty((len(tracked), gs.m))
     nominal = np.empty(len(tracked))
     for a, pos in enumerate(tracked):
@@ -179,11 +178,10 @@ def eigenvalue_sensitivities(
                 f"eigenvalue at position {pos} ({lam:.6e} m^2) is within "
                 f"{gap:.3e} m^2 of its nearest neighbor (tolerance {tol:.3e} m^2); "
                 "its eigenvector is unstable, so first-order tracking would be "
-                "unreliable. Increase the effective clock bias (bias inflation) "
-                "to separate the activated eigenvalues."
+                "unreliable. " + _DEGENERATE_ADVICE[spec.ordering]
             )
-        denom = float(z @ z)  # 1 for unit eigenvectors, computed regardless
-        rows[a] = np.einsum("i,jik,k->j", z, gs.matrices, z) / denom
+        zc = z - z.mean()
+        rows[a] = -2.0 * gs.rho * zc[0] * zc[1:] / float(z @ z)
         nominal[a] = lam
     return SensitivityTable(positions=tuple(tracked), s=rows, nominal=nominal)
 
@@ -242,19 +240,13 @@ def ratio_gaussian(
     return RatioGaussian(mu=float(mu_z), sigma=float(np.sqrt(var_z)), warning=warning)
 
 
-def predict_q_distribution(
-    g: geometry.ScenarioGeometry,
-    nm: geometry.NoiseModel,
-    ordering: str = edm.DEFAULT_ORDERING,
-    gap_tol_rel: float = GAP_TOL_REL_DEFAULT,
-) -> StatisticDistribution:
-    """Predict the fault-free Gaussian distribution of q for a scenario.
+def _nominal_linearisation(
+    g: geometry.ScenarioGeometry, nm: geometry.NoiseModel, ordering: str
+) -> tuple[np.ndarray, SensitivityTable]:
+    """Nominal pseudoranges and their TRACKED_DEFAULT sensitivity table.
 
-    Pipeline: nominal (noiseless, biased) pseudoranges -> centered Gram ->
-    tracked spectrum -> per-satellite sensitivities -> numerator and
-    denominator moments -> Gaussian ratio. Numerator and denominator are
-    treated as independent; their first-order covariance is reported as a
-    diagnostic so the assumption can be checked.
+    Noiseless biased pseudoranges -> dense centered-Gram spectrum ->
+    closed-form sensitivities. A zero effective bias is refused up front.
     """
     if nm.effective_bias == 0.0:
         raise DegenerateEigenvalueError(
@@ -262,12 +254,24 @@ def predict_q_distribution(
             "fifth eigenvalues are set by the noise itself and cannot be tracked; "
             "keep the clock bias in the pseudoranges or add bias inflation"
         )
-    d = geometry.true_ranges(g)
-    sample = geometry.nominal_pseudoranges(d, nm)
-    spec = edm.spectrum(edm.centered_gram(g.satellites, sample.rho), ordering)
-    gs = gram_sensitivities(sample.rho)
-    table = eigenvalue_sensitivities(spec, gs, TRACKED_DEFAULT, gap_tol_rel)
+    rho = geometry.nominal_pseudoranges(geometry.true_ranges(g), nm).rho
+    spec = edm.spectrum(edm.centered_gram(g.satellites, rho), ordering)
+    return rho, eigenvalue_sensitivities(spec, gram_sensitivities(rho))
 
+
+def predict_q_distribution(
+    g: geometry.ScenarioGeometry,
+    nm: geometry.NoiseModel,
+    ordering: str = edm.DEFAULT_ORDERING,
+) -> StatisticDistribution:
+    """Predict the fault-free Gaussian distribution of q for a scenario.
+
+    Pipeline: nominal linearisation (see _nominal_linearisation) ->
+    numerator and denominator moments -> Gaussian ratio. Numerator and
+    denominator are treated as independent; their first-order covariance is
+    reported as a diagnostic so the assumption can be checked.
+    """
+    _, table = _nominal_linearisation(g, nm, ordering)
     lam1 = table.nominal_value(1)
     num = numerator_moments(table, table.nominal_value(4), table.nominal_value(5), nm.sigma_v)
     sigma_den = 2.0 * np.sqrt(eigenvalue_variance(table.row(1), nm.sigma_v))

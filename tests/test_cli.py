@@ -66,7 +66,11 @@ class TestSimulate:
         code = run(["simulate", "--trials", "50", "--ordering", "algebraic",
                     "--out", str(tmp_path / "x")])
         assert code == EXIT_NUMERICAL
-        assert "eigenvector" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "eigenvector" in err
+        # More bias cannot separate the zero cluster; the advice is to rank
+        # by magnitude instead.
+        assert "magnitude ordering" in err and "Increase the effective clock bias" not in err
 
     def test_summary_reports_both_orderings(self, tmp_path):
         out = tmp_path / "run"
@@ -121,6 +125,11 @@ class TestAudit:
         assert "finite-difference" in names
         assert "centering" in names
         assert "rank collapse" in names
+
+    def test_zero_bias_refused_like_predict(self, tmp_path, capsys):
+        code = run(["audit", "--bias", "0", "--out", str(tmp_path / "a")])
+        assert code == EXIT_NUMERICAL
+        assert "effective clock bias is zero" in capsys.readouterr().err
 
     def test_four_satellite_scenario_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "four.yaml"

@@ -314,6 +314,16 @@ class TestFiniteDifferenceAudit:
         assert audit.max_relative_discrepancy <= 1e-4
         assert audit.sensitivities.shape == (3, 12)
         assert audit.finite_differences.shape == (3, 12)
+        # Per-row bounds (lambda1, lambda4, lambda5), fixed in advance at about
+        # twice the measured discrepancy of the dense-eigenvector rows.
+        assert audit.positions == (1, 4, 5)
+        assert np.all(audit.relative_discrepancy.max(axis=1) <= [5e-14, 6e-12, 2e-7])
+
+    def test_five_satellite_precision_per_row(self, noise_default):
+        g = generate_constellation(5, 10.0, seed=1)
+        audit = finite_difference_audit(g, noise_default, 1e-3)
+        assert audit.positions == (1, 4, 5)
+        assert np.all(audit.relative_discrepancy.max(axis=1) <= [6e-15, 1e-13, 1e-11])
 
     def test_large_step_grows_but_stays_bounded(self, scenario12, noise_default):
         audit = finite_difference_audit(scenario12, noise_default, 0.5)

@@ -19,6 +19,8 @@ from edmdetect import (
     detection_threshold,
     eigenvalue_sensitivities,
     eigenvalue_variance,
+    finite_difference_audit,
+    generate_constellation,
     gram_sensitivities,
     nominal_pseudoranges,
     numerator_moments,
@@ -28,7 +30,7 @@ from edmdetect import (
     true_ranges,
 )
 from edmdetect.edm import ORDERING_MAGNITUDE, GramSpectrum, centering_matrix
-from edmdetect.perturbation import SensitivityTable, StatisticDistribution
+from edmdetect.perturbation import GramSensitivity, SensitivityTable, StatisticDistribution
 
 RNG = np.random.default_rng(555)
 
@@ -190,31 +192,30 @@ def diag_spectrum(values):
 
 class TestEigenvalueSensitivities:
     def test_zero_perturbation_gives_zero_rows(self, scenario12, noise_default):
-        rho = nominal_pseudoranges(true_ranges(scenario12), noise_default).rho
         _, spec = nominal_pipeline(scenario12, noise_default)
-        gs = gram_sensitivities(rho)
-        gs.matrices[:] = 0.0
-        table = eigenvalue_sensitivities(spec, gs)
+        table = eigenvalue_sensitivities(spec, gram_sensitivities(np.zeros(scenario12.m)))
         assert np.all(table.s == 0.0)
 
-    def test_textbook_diagonal_case(self):
-        # G = diag(distinct), dG_j = diag(w_j): s_{i,j} = w_j[i].
-        spec = diag_spectrum([5.0, 3.0, 1.0])
-        w = np.array([[0.4, -0.2, 0.7], [1.5, 0.3, -0.9]])
-        gs_matrices = np.stack([np.diag(w[0]), np.diag(w[1])])
-        from edmdetect.perturbation import GramSensitivity
-
-        gs = GramSensitivity(matrices=gs_matrices, rho=np.ones(2))
-        table = eigenvalue_sensitivities(spec, gs, tracked=(1, 2, 3))
-        np.testing.assert_allclose(table.s, w.T[[0, 1, 2]], atol=1e-15)
+    @pytest.mark.parametrize("m, mask", [(5, 10.0), (12, 10.0), (30, 5.0), (60, 5.0)])
+    def test_closed_form_matches_tensor_contraction(self, m, mask, noise_default):
+        # Reference: z^T dG_j z / z^T z from the explicit derivative stack.
+        # Tolerance, fixed in advance: 1e-12 relative, floor 1 m^2/m, on
+        # every tracked row and every satellite.
+        g = generate_constellation(m, mask, seed=1)
+        rho, spec = nominal_pipeline(g, noise_default)
+        gs = gram_sensitivities(rho)
+        table = eigenvalue_sensitivities(spec, gs)
+        stack = gs.matrices
+        for a, pos in enumerate(table.positions):
+            _, z = spec.eigenpair(pos)
+            ref = np.array([z @ stack[j] @ z / (z @ z) for j in range(m)])
+            err = np.abs(table.s[a] - ref) / np.maximum(np.abs(ref), 1.0)
+            assert err.max() <= 1e-12, (pos, err.max())
 
     def test_degenerate_eigenvalue_refused(self):
         spec = diag_spectrum([5.0, 2.0, 2.0 + 1e-13])
-        from edmdetect.perturbation import GramSensitivity
-
-        gs = GramSensitivity(matrices=np.zeros((2, 3, 3)), rho=np.ones(2))
         with pytest.raises(DegenerateEigenvalueError, match="bias"):
-            eigenvalue_sensitivities(spec, gs, tracked=(2,))
+            eigenvalue_sensitivities(spec, GramSensitivity(rho=np.ones(2)), tracked=(2,))
 
     def test_matches_eigenvalue_finite_differences(self, scenario12, noise_default):
         # h = 1e-3 m central differences through the full pipeline must agree
@@ -401,6 +402,17 @@ class TestPredictQDistribution:
             * noise_default.sigma_v**2
         )
         assert dist.covariance_num_den == pytest.approx(expected, rel=1e-12)
+
+    def test_prediction_and_audit_never_build_the_tensor(self, monkeypatch, noise_default):
+        # Both take their rows from the closed form; reading the explicit
+        # (m, m+1, m+1) derivative stack would raise here.
+        def refuse(self):
+            raise AssertionError("derivative tensor built")
+
+        monkeypatch.setattr(GramSensitivity, "matrices", property(refuse))
+        g = generate_constellation(5, 10.0, seed=1)
+        assert predict_q_distribution(g, noise_default).sigma_q > 0
+        assert finite_difference_audit(g, noise_default, 1e-3).max_relative_discrepancy <= 1e-4
 
 
 class TestDetectionThreshold:
