@@ -10,7 +10,9 @@ depends only on (master_seed, t): results are bit-identical for any worker
 count, and a short run is a bit-exact prefix of a longer one. Each trial's
 spectrum comes from edm.centered_gram_eigvals, a rank-5 Rayleigh-Ritz
 kernel: O(m) work and a 5x5 eigensolve per trial instead of building and
-solving the (m+1)x(m+1) centered Gram matrix.
+solving the (m+1)x(m+1) centered Gram matrix. The finite-difference audit's
+reference side applies the same rank-5 reduction in 40-digit mpmath
+arithmetic, from the positions alone: one 5x5 eigsy per perturbed spectrum.
 """
 
 from __future__ import annotations
@@ -337,39 +339,80 @@ def relative_discrepancy(reference: np.ndarray, other: np.ndarray) -> np.ndarray
     return np.abs(reference - other) / np.maximum(np.abs(reference), 1.0)
 
 
-def _mp_eigenvalues(satellites: np.ndarray, rho, ordering: str):
-    """Extended-precision spectrum of the centered Gram built from ``rho``.
+def _mp_rank5_oracle(satellites: np.ndarray, ordering: str):
+    """Extended-precision spectra of the centered Gram at a fixed geometry.
 
-    The pipeline is rebuilt from scratch in mpmath arithmetic: eigenvalue
+    Returns ``eigenvalues(rho)``: the m + 1 eigenvalues of the centered Gram
+    built from mpf pseudoranges ``rho``, ranked per ``ordering``. Eigenvalue
     differences of order h * s sit ~9 decades below the matrix norm, far
-    inside double-precision eigensolver noise, so the audit's reference side
-    needs more precision than float64 carries.
+    inside double-precision eigensolver noise, so everything is rebuilt in
+    mpmath arithmetic at the working precision from the positions and rho
+    alone; no float intermediate is reused.
+
+    The algebra is edm.centered_gram_eigvals' rank-5 identity
+    G_c = A A^T + 1/2 (u w^T + w u^T). An orthonormal basis of [A, u] comes
+    from Gram-Schmidt once; each rho adds the part of w outside it, of norm
+    beta. G_c on those five directions is the 5x5 H = R M R^T, where R holds
+    the coordinates of A, u and w and M = diag(I_3, [[0, 1/2], [1/2, 0]]);
+    its eigenvalues are the non-zero ones of G_c and the other m - 4 are
+    exact zeros. So each spectrum costs O(m) work and one 5x5 eigsy, and
+    neither D nor any (m+1) x (m+1) matrix is formed.
+
+    Raises SpectrumError if a column of [A, u] has an exactly zero residual
+    on the columns before it (a rank-deficient A), so no basis exists.
     """
     import mpmath  # only the audit needs it; importing it slows every command
 
+    mpf, fdot, fsum = mpmath.mpf, mpmath.fdot, mpmath.fsum
     m = satellites.shape[0]
     n = m + 1
-    pts = [[mpmath.mpf(float(c)) for c in row] for row in satellites]
-    D = [[mpmath.mpf(0)] * n for _ in range(n)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            dd = sum((pts[i][k] - pts[j][k]) ** 2 for k in range(3))
-            D[i + 1][j + 1] = dd
-            D[j + 1][i + 1] = dd
-    for j in range(m):
-        r2 = rho[j] ** 2
-        D[0][j + 1] = r2
-        D[j + 1][0] = r2
-    # -J D J / 2 entry by entry: D is symmetric, so its row and column means
-    # coincide and G_ij = -(D_ij - r_i - r_j + r_bar) / 2, O(n^2) in all.
-    r = [sum(row) / n for row in D]
-    r_bar = sum(r) / n
-    Gc = mpmath.matrix(
-        [[-(D[i][j] - r[i] - r[j] + r_bar) / 2 for j in range(n)] for i in range(n)]
-    )
-    E = mpmath.eigsy(Gc, eigvals_only=True)
-    vals = [E[i] for i in range(n)]
-    return [vals[i] for i in edm._order_indices(np.array(vals, dtype=object), ordering)]
+
+    def project(basis, x):
+        """Coordinates of x on ``basis`` and the residual: two Gram-Schmidt passes."""
+        coef = [mpf(0)] * len(basis)
+        for _ in range(2):
+            for i, q in enumerate(basis):
+                t = fdot(q, x)
+                coef[i] += t
+                x = [xi - t * qi for xi, qi in zip(x, q)]
+        return coef, x
+
+    # Receiver slot at the origin: P = [0; S], A = J P, u = J e0.
+    P = [[mpf(0)] * 3] + [[mpf(float(c)) for c in row] for row in satellites]
+    cols = []
+    for k in range(3):
+        mean = fsum(p[k] for p in P) / n
+        cols.append([p[k] - mean for p in P])
+    cols.append([1 - mpf(1) / n] + [-mpf(1) / n] * m)
+    basis, coords = [], []
+    for k, c in enumerate(cols):
+        coef, r = project(basis, c)
+        norm = mpmath.sqrt(fdot(r, r))
+        if norm == 0:
+            raise SpectrumError(
+                f"column {k} of [A, u] lies in the span of the columns before it, "
+                "so the rank-5 basis does not exist (rank-deficient geometry)"
+            )
+        basis.append([ri / norm for ri in r])
+        coords.append(coef + [norm] + [mpf(0)] * (4 - k))
+    M0 = [[fsum(coords[c][i] * coords[c][k] for c in range(3)) for k in range(5)]
+          for i in range(5)]
+    ut = coords[3]
+    sq = [fdot(p, p) for p in P[1:]]
+
+    def eigenvalues(rho):
+        v = [s2 - r * r for s2, r in zip(sq, rho)]
+        mean = fsum(v) / n
+        a, r = project(basis, [-mean] + [vj - mean for vj in v])
+        a.append(mpmath.sqrt(fdot(r, r)))
+        H = mpmath.matrix(
+            [[M0[i][k] + (ut[i] * a[k] + a[i] * ut[k]) / 2 for k in range(5)] for i in range(5)]
+        )
+        E = mpmath.eigsy(H, eigvals_only=True)
+        vals = [E[i] for i in range(5)] + [mpf(0)] * (m - 4)
+        return [vals[i] for i in edm._order_indices(np.array(vals, dtype=object), ordering)]
+
+    return eigenvalues
 
 
 def finite_difference_audit(
@@ -382,8 +425,8 @@ def finite_difference_audit(
 
     For every tracked eigenvalue position i and satellite j the oracle value
     is (lambda_i(v_j = +h) - lambda_i(v_j = -h)) / (2h) with each perturbed
-    spectrum recomputed through the full pipeline in 40-digit arithmetic
-    (see _mp_eigenvalues). The analytic side is the nominal linearisation
+    spectrum recomputed from the positions in 40-digit arithmetic (see
+    _mp_rank5_oracle). The analytic side is the nominal linearisation
     the prediction uses. Discrepancies are relative with an absolute floor
     of 1 m^2/m.
     """
@@ -396,6 +439,7 @@ def finite_difference_audit(
 
     fd = np.empty(table.s.shape)
     with mpmath.workdps(40):
+        eigenvalues = _mp_rank5_oracle(g.satellites, ordering)
         hm = mpmath.mpf(float(h))
         rho_mp = [mpmath.mpf(float(x)) for x in rho]
         for j in range(g.m):
@@ -403,8 +447,8 @@ def finite_difference_audit(
             plus[j] += hm
             minus = list(rho_mp)
             minus[j] -= hm
-            w_plus = _mp_eigenvalues(g.satellites, plus, ordering)
-            w_minus = _mp_eigenvalues(g.satellites, minus, ordering)
+            w_plus = eigenvalues(plus)
+            w_minus = eigenvalues(minus)
             for a, pos in enumerate(table.positions):
                 fd[a, j] = float((w_plus[pos - 1] - w_minus[pos - 1]) / (2 * hm))
     rel = relative_discrepancy(table.s, fd)

@@ -1,5 +1,7 @@
-"""Shared fixtures: the default 12-satellite scenario and one large trial batch."""
+"""Shared fixtures: the default 12-satellite scenario and one large trial batch,
+plus the dense extended-precision spectrum the oracle tests compare against."""
 
+import mpmath
 import pytest
 
 from edmdetect import NoiseModel, generate_constellation, run_trials
@@ -31,3 +33,30 @@ def mc100k(scenario12, noise_default):
 @pytest.fixture(scope="session")
 def lambda_matrix_100k(mc100k):
     return mc100k.lambdas
+
+
+def dense_mp_eigenvalues(satellites, rho, ordering="magnitude"):
+    """All m + 1 eigenvalues of the literal -J D J / 2 at 40 digits, ranked.
+
+    D is built entry by entry from the positions and the pseudoranges in
+    mpmath and diagonalized with mpmath's dense symmetric solver, so this
+    reference shares no numerics with the library (neither its float
+    pipeline nor its rank-5 reductions). ``ordering`` is "magnitude" or
+    "algebraic"; both keep signed values.
+    """
+    with mpmath.workdps(40):
+        m = len(rho)
+        n = m + 1
+        D = mpmath.zeros(n, n)
+        for a in range(m):
+            for b in range(m):
+                if a != b:
+                    D[a + 1, b + 1] = sum(
+                        (mpmath.mpf(float(satellites[a][k])) - mpmath.mpf(float(satellites[b][k])))
+                        ** 2 for k in range(3)
+                    )
+            D[0, a + 1] = D[a + 1, 0] = mpmath.mpf(rho[a]) ** 2
+        J = mpmath.eye(n) - mpmath.ones(n, n) / n
+        E = mpmath.eigsy(-J * D * J / 2, eigvals_only=True)
+        key = (lambda x: -x) if ordering == "algebraic" else (lambda x: -abs(x))
+        return sorted((E[i] for i in range(n)), key=key)

@@ -4,12 +4,15 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+from conftest import dense_mp_eigenvalues
 
 from edmdetect import (
     NoiseModel,
     PseudorangeSample,
+    ScenarioGeometry,
     SpectrumError,
     centered_gram,
     finite_difference_audit,
@@ -26,7 +29,7 @@ from edmdetect import (
 from edmdetect.montecarlo import (
     TrialBatch,
     _ks_statistic,
-    _mp_eigenvalues,
+    _mp_rank5_oracle,
     _trial_block,
     block_noise,
     ks_critical_value,
@@ -68,6 +71,25 @@ def gaussian_dist(mu, sigma):
 @pytest.fixture(scope="module")
 def small_scenario():
     return generate_constellation(6, 15.0, seed=11)
+
+
+@pytest.fixture(scope="module")
+def scenario30():
+    return generate_constellation(30, 5.0, seed=1)
+
+
+@pytest.fixture(scope="module")
+def coplanar_scenario():
+    # Nine satellites on the circle where the orbit sphere meets the plane
+    # z = 2e7 m, seen from the north pole at about 38 degrees elevation. The
+    # receiver is off that plane, so the geometry is valid; the plane misses
+    # the origin (the receiver slot of the centered Gram), so u = J e0 lies in
+    # span(A) and the centered Gram has rank 4.
+    z = 2.0e7
+    radius = np.sqrt(26_560_000.0**2 - z**2)
+    phi = np.sort(np.random.default_rng(5).uniform(0.0, 2 * np.pi, 9))
+    sats = np.column_stack([radius * np.cos(phi), radius * np.sin(phi), np.full(9, z)])
+    return ScenarioGeometry(receiver=np.array([0.0, 0.0, 6_371_000.0]), satellites=sats)
 
 
 class TestRunTrials:
@@ -325,6 +347,29 @@ class TestFiniteDifferenceAudit:
         assert audit.positions == (1, 4, 5)
         assert np.all(audit.relative_discrepancy.max(axis=1) <= [6e-15, 1e-13, 1e-11])
 
+    @pytest.mark.parametrize("m, bounds", [(30, [1.3e-13, 6e-12, 9e-8]),
+                                           (60, [4e-13, 1.2e-11, 1.1e-7])])
+    def test_large_constellation_precision_per_row(self, m, bounds, noise_default):
+        # Per-row bounds (lambda1, lambda4, lambda5) at the traced sweep's
+        # 5-degree scenarios, fixed in advance at about twice the measured
+        # discrepancy.
+        audit = finite_difference_audit(generate_constellation(m, 5.0, seed=1), noise_default, 1e-3)
+        assert audit.positions == (1, 4, 5)
+        assert np.all(audit.relative_discrepancy.max(axis=1) <= bounds)
+
+    def test_oracle_solves_only_5x5_matrices(self, monkeypatch, scenario12, noise_default):
+        # Each perturbed spectrum costs one 5x5 eigsy, never an (m+1)^2 one.
+        shapes = []
+        eigsy = mpmath.eigsy
+
+        def recording_eigsy(A, *args, **kwargs):
+            shapes.append((A.rows, A.cols))
+            return eigsy(A, *args, **kwargs)
+
+        monkeypatch.setattr(mpmath, "eigsy", recording_eigsy)
+        finite_difference_audit(scenario12, noise_default, 1e-3)
+        assert shapes == [(5, 5)] * (2 * scenario12.m)
+
     def test_large_step_grows_but_stays_bounded(self, scenario12, noise_default):
         audit = finite_difference_audit(scenario12, noise_default, 0.5)
         assert audit.max_relative_discrepancy <= 1e-2
@@ -448,11 +493,9 @@ def test_empirical_false_alarm_matches_target(small_scenario):
 
 @pytest.mark.parametrize("scenario, k", [("small_scenario", 40), ("scenario12", 10)])
 def test_trial_kernel_matches_extended_precision_oracle(request, scenario, k):
-    # Oracle: the 40-digit spectrum of the same pseudoranges. Tolerances,
-    # fixed in advance: q within 1e-13 and lambda1..lambda5 within 1e-9,
-    # both relative.
-    import mpmath
-
+    # Oracle: the dense 40-digit spectrum of the same pseudoranges (a rank-5
+    # oracle would share the kernel's algebra). Tolerances, fixed in advance:
+    # q within 1e-13 and lambda1..lambda5 within 1e-9, both relative.
     g = request.getfixturevalue(scenario)
     nm = NoiseModel(sigma_v=3.0, bias_b=1.0e5)
     d = true_ranges(g)
@@ -462,8 +505,7 @@ def test_trial_kernel_matches_extended_precision_oracle(request, scenario, k):
     rho = d + nm.effective_bias + block_noise(key, 0, k, g.m, nm.sigma_v)
     with mpmath.workdps(40):
         for t in range(k):
-            ref = _mp_eigenvalues(g.satellites, [mpmath.mpf(float(x)) for x in rho[t]],
-                                  "magnitude")[:5]
+            ref = dense_mp_eigenvalues(g.satellites, rho[t])[:5]
             q_ref = (ref[3] + ref[4]) / (2 * ref[0])
             assert abs(float(q[t]) - q_ref) <= 1e-13 * abs(q_ref), t
             for i in range(5):
@@ -474,35 +516,34 @@ def test_trial_kernel_matches_extended_precision_oracle(request, scenario, k):
     assert np.all(lams_alg[:, 4] == 0.0)
 
 
-@pytest.mark.parametrize("scenario", ["small_scenario", "scenario12"])
+@pytest.mark.parametrize("scenario", ["small_scenario", "scenario12", "scenario30",
+                                      "coplanar_scenario"])
 @pytest.mark.parametrize("ordering", ["magnitude", "algebraic"])
 def test_mp_centering_matches_literal_projection(request, scenario, ordering):
-    # Reference: the literal -J D J / 2 product in mpmath. Both sides round
-    # at 40 digits in a different order, so eigenvalues may differ by a few
-    # units in the 40th digit of the matrix scale (about 1e-25 m^2 here).
-    # Tolerance, fixed in advance: 1e-35 of the largest |eigenvalue|.
-    import mpmath
-
+    # The audit's rank-5 oracle against the dense reference, the literal
+    # -J D J / 2 and its full eigsy. Both work at 40 digits but round in a
+    # different order, so eigenvalues, the zero cluster included, may differ
+    # by a few units in the 40th digit of the matrix scale (about 1e-25 m^2
+    # here). Tolerance, fixed in advance: 1e-35 of the largest |eigenvalue|.
     g = request.getfixturevalue(scenario)
     nm = NoiseModel(sigma_v=3.0, bias_b=1.0e5)
     rho = true_ranges(g) + nm.effective_bias + block_noise(noise_key(3), 0, 1, g.m, 3.0)[0]
-    m, n = g.m, g.m + 1
     with mpmath.workdps(40):
-        rho_mp = [mpmath.mpf(float(x)) for x in rho]
-        D = mpmath.zeros(n, n)
-        for i in range(m):
-            for j in range(m):
-                D[i + 1, j + 1] = sum(
-                    (mpmath.mpf(float(g.satellites[i][k])) - mpmath.mpf(float(g.satellites[j][k])))
-                    ** 2 for k in range(3)
-                )
-            D[0, i + 1] = D[i + 1, 0] = rho_mp[i] ** 2
-        J = mpmath.eye(n) - mpmath.ones(n, n) / n
-        E = mpmath.eigsy(-J * D * J / 2, eigvals_only=True)
-        ref = sorted((E[i] for i in range(n)),
-                     key=(lambda x: -x) if ordering == "algebraic" else (lambda x: -abs(x)))
-        got = _mp_eigenvalues(g.satellites, rho_mp, ordering)
-        assert len(got) == n
+        ref = dense_mp_eigenvalues(g.satellites, rho, ordering)
+        got = _mp_rank5_oracle(g.satellites, ordering)([mpmath.mpf(float(x)) for x in rho])
+        assert len(got) == g.m + 1
         scale = max(abs(x) for x in ref)
-        for i in range(n):
+        for i in range(g.m + 1):
             assert abs(got[i] - ref[i]) <= 1e-35 * scale, i
+        if scenario == "coplanar_scenario":
+            # u inside span(A): only four eigenvalues are non-zero.
+            assert sum(abs(x) > 1e-30 * scale for x in ref) == 4
+
+
+def test_rank5_oracle_refuses_a_vanishing_basis_column():
+    # Every satellite on the plane x = 0, which holds the receiver slot at
+    # the origin: the x column of A = J [0; S] is exactly zero.
+    sats = generate_constellation(6, 10.0, seed=2).satellites.copy()
+    sats[:, 0] = 0.0
+    with mpmath.workdps(40), pytest.raises(SpectrumError, match="column 0"):
+        _mp_rank5_oracle(sats, "magnitude")

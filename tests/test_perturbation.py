@@ -11,6 +11,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from conftest import dense_mp_eigenvalues
 
 from edmdetect import (
     DegenerateEigenvalueError,
@@ -66,45 +67,22 @@ def matrix_fd_oracle(satellites, rho, j, h, dtype=float):
     return np.asarray((Gp - Gm) / (dtype(2) * dtype(h)), dtype=float)
 
 
-def eig_fd_oracle(satellites, rho, j, h, positions, dps=40):
+def eig_fd_oracle(satellites, rho, j, h, positions):
     """Central difference of tracked eigenvalues, magnitude ordering.
 
-    Rebuilds the augmented matrix and its double-centering in mpmath floats
-    and diagonalizes with mpmath's symmetric solver, so the oracle shares no
-    numerics with the library path.
+    Both perturbed spectra come from the dense 40-digit reference
+    (conftest.dense_mp_eigenvalues), so the oracle shares no numerics with
+    the library path.
     """
-    with mpmath.workdps(dps):
-        m = len(rho)
-        n = m + 1
+    with mpmath.workdps(40):
         hm = mpmath.mpf(float(h))
-
-        def tracked_eigs(rvec):
-            D = mpmath.zeros(n, n)
-            for a in range(m):
-                for b in range(m):
-                    if a != b:
-                        D[a + 1, b + 1] = sum(
-                            (mpmath.mpf(float(satellites[a][k]))
-                             - mpmath.mpf(float(satellites[b][k]))) ** 2
-                            for k in range(3)
-                        )
-            for a in range(m):
-                D[0, a + 1] = rvec[a] ** 2
-                D[a + 1, 0] = rvec[a] ** 2
-            J = mpmath.eye(n) - mpmath.ones(n, n) / n
-            Gc = -J * D * J / 2
-            vals = mpmath.eigsy(Gc, eigvals_only=True)
-            ordered = sorted([vals[i] for i in range(n)], key=lambda x: -abs(x))
-            return [ordered[p - 1] for p in positions]
-
-        base = [mpmath.mpf(float(x)) for x in rho]
-        plus = list(base)
+        plus = [mpmath.mpf(float(x)) for x in rho]
+        minus = list(plus)
         plus[j] += hm
-        minus = list(base)
         minus[j] -= hm
-        wp = tracked_eigs(plus)
-        wm = tracked_eigs(minus)
-        return [float((a - b) / (2 * hm)) for a, b in zip(wp, wm)]
+        wp = dense_mp_eigenvalues(satellites, plus)
+        wm = dense_mp_eigenvalues(satellites, minus)
+        return [float((wp[p - 1] - wm[p - 1]) / (2 * hm)) for p in positions]
 
 
 def normal_quantile_oracle(p, tol=1e-12):
