@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .errors import ConfigError, ConstellationSamplingError, GeometryError
 
@@ -365,6 +364,8 @@ def read_mapping(path: str | Path) -> dict:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"file not found: {path}")
+    import yaml  # only config and scenario files need it; importing it slows every command
+
     try:
         doc = yaml.safe_load(path.read_bytes())
     except yaml.YAMLError as exc:

@@ -11,16 +11,17 @@ count, and a short run is a bit-exact prefix of a longer one. Each trial's
 spectrum comes from edm.centered_gram_eigvals, a rank-5 Rayleigh-Ritz
 kernel: O(m) work and a 5x5 eigensolve per trial instead of building and
 solving the (m+1)x(m+1) centered Gram matrix. The finite-difference audit's
-reference side applies the same rank-5 reduction in 40-digit mpmath
-arithmetic, from the positions alone: one 5x5 eigsy per perturbed spectrum.
+reference side applies the same rank-5 reduction in 40-digit decimal
+arithmetic (the stdlib's C-backed decimal module), from the positions alone:
+one 5x5 cyclic Jacobi solve per perturbed spectrum.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from decimal import Context, Decimal, getcontext, localcontext
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -211,6 +212,8 @@ def run_trials(
     if workers <= 1 or len(args) == 1:
         blocks = [_trial_block(*a) for a in args]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only worker pools need it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_trial_block, *zip(*args)))
     q, lambdas, q_alt = (np.concatenate(cols) for cols in zip(*blocks))
@@ -339,15 +342,67 @@ def relative_discrepancy(reference: np.ndarray, other: np.ndarray) -> np.ndarray
     return np.abs(reference - other) / np.maximum(np.abs(reference), 1.0)
 
 
-def _mp_rank5_oracle(satellites: np.ndarray, ordering: str):
+# The finite-difference oracle works in decimal floating point at this many
+# significant digits, whatever the caller's decimal context.
+_ORACLE_CONTEXT = Context(prec=40)
+
+# Cyclic Jacobi converges quadratically; 5x5 spectra take 4-5 sweeps.
+_JACOBI_MAX_SWEEPS = 60
+
+
+def _jacobi_eigenvalues(A: list[list[Decimal]]) -> list[Decimal]:
+    """Eigenvalues of a small symmetric Decimal matrix by cyclic Jacobi.
+
+    Works at the current decimal context's precision. Each rotation uses
+    Rutishauser's tau form and sets the annihilated pair to an exact zero;
+    Jacobi keeps high relative accuracy on the small eigenvalues (Demmel &
+    Veselic, SIAM J. Matrix Anal. Appl., 1992). Sweeps stop once the squared
+    off-diagonal Frobenius norm is at most (10^-(prec+2) max|A|)^2. The
+    eigenvalues come back unordered. Raises SpectrumError if
+    _JACOBI_MAX_SWEEPS sweeps do not get there.
+    """
+    n = len(A)
+    a = [list(row) for row in A]
+    scale = max(abs(x) for row in a for x in row)
+    tol = scale.scaleb(-(getcontext().prec + 2)) ** 2
+    sweeps = 0
+    while 2 * sum(a[p][q] ** 2 for p in range(n) for q in range(p + 1, n)) > tol:
+        if sweeps == _JACOBI_MAX_SWEEPS:
+            raise SpectrumError(f"Jacobi eigensolve did not converge in {sweeps} sweeps")
+        sweeps += 1
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p][q]
+                if not apq:
+                    continue
+                theta = (a[q][q] - a[p][p]) / (2 * apq)
+                t = 1 / (abs(theta) + (theta * theta + 1).sqrt())
+                if theta < 0:
+                    t = -t
+                c = 1 / (t * t + 1).sqrt()
+                s = t * c
+                tau = s / (1 + c)
+                a[p][p] -= t * apq
+                a[q][q] += t * apq
+                a[p][q] = a[q][p] = Decimal(0)
+                for r in range(n):
+                    if r != p and r != q:
+                        g, h = a[r][p], a[r][q]
+                        a[r][p] = a[p][r] = g - s * (h + g * tau)
+                        a[r][q] = a[q][r] = h + s * (g - h * tau)
+    return [a[i][i] for i in range(n)]
+
+
+def _rank5_oracle(satellites: np.ndarray, ordering: str):
     """Extended-precision spectra of the centered Gram at a fixed geometry.
 
     Returns ``eigenvalues(rho)``: the m + 1 eigenvalues of the centered Gram
-    built from mpf pseudoranges ``rho``, ranked per ``ordering``. Eigenvalue
-    differences of order h * s sit ~9 decades below the matrix norm, far
-    inside double-precision eigensolver noise, so everything is rebuilt in
-    mpmath arithmetic at the working precision from the positions and rho
-    alone; no float intermediate is reused.
+    built from Decimal pseudoranges ``rho``, ranked per ``ordering``.
+    Eigenvalue differences of order h * s sit ~9 decades below the matrix
+    norm, far inside double-precision eigensolver noise, so everything is
+    rebuilt in 40-digit decimal arithmetic (_ORACLE_CONTEXT, entered by the
+    oracle itself) from the positions and rho alone; no float intermediate
+    is reused.
 
     The algebra is edm.centered_gram_eigvals' rank-5 identity
     G_c = A A^T + 1/2 (u w^T + w u^T). An orthonormal basis of [A, u] comes
@@ -355,62 +410,64 @@ def _mp_rank5_oracle(satellites: np.ndarray, ordering: str):
     beta. G_c on those five directions is the 5x5 H = R M R^T, where R holds
     the coordinates of A, u and w and M = diag(I_3, [[0, 1/2], [1/2, 0]]);
     its eigenvalues are the non-zero ones of G_c and the other m - 4 are
-    exact zeros. So each spectrum costs O(m) work and one 5x5 eigsy, and
-    neither D nor any (m+1) x (m+1) matrix is formed.
+    exact zeros. So each spectrum costs O(m) work and one 5x5 Jacobi solve
+    (_jacobi_eigenvalues), and neither D nor any (m+1) x (m+1) matrix is
+    formed.
 
     Raises SpectrumError if a column of [A, u] has an exactly zero residual
     on the columns before it (a rank-deficient A), so no basis exists.
     """
-    import mpmath  # only the audit needs it; importing it slows every command
-
-    mpf, fdot, fsum = mpmath.mpf, mpmath.fdot, mpmath.fsum
     m = satellites.shape[0]
     n = m + 1
+    zero = Decimal(0)
+
+    def dot(x, y):
+        return sum(xi * yi for xi, yi in zip(x, y))
 
     def project(basis, x):
         """Coordinates of x on ``basis`` and the residual: two Gram-Schmidt passes."""
-        coef = [mpf(0)] * len(basis)
+        coef = [zero] * len(basis)
         for _ in range(2):
             for i, q in enumerate(basis):
-                t = fdot(q, x)
+                t = dot(q, x)
                 coef[i] += t
                 x = [xi - t * qi for xi, qi in zip(x, q)]
         return coef, x
 
-    # Receiver slot at the origin: P = [0; S], A = J P, u = J e0.
-    P = [[mpf(0)] * 3] + [[mpf(float(c)) for c in row] for row in satellites]
-    cols = []
-    for k in range(3):
-        mean = fsum(p[k] for p in P) / n
-        cols.append([p[k] - mean for p in P])
-    cols.append([1 - mpf(1) / n] + [-mpf(1) / n] * m)
-    basis, coords = [], []
-    for k, c in enumerate(cols):
-        coef, r = project(basis, c)
-        norm = mpmath.sqrt(fdot(r, r))
-        if norm == 0:
-            raise SpectrumError(
-                f"column {k} of [A, u] lies in the span of the columns before it, "
-                "so the rank-5 basis does not exist (rank-deficient geometry)"
-            )
-        basis.append([ri / norm for ri in r])
-        coords.append(coef + [norm] + [mpf(0)] * (4 - k))
-    M0 = [[fsum(coords[c][i] * coords[c][k] for c in range(3)) for k in range(5)]
-          for i in range(5)]
-    ut = coords[3]
-    sq = [fdot(p, p) for p in P[1:]]
+    with localcontext(_ORACLE_CONTEXT):
+        # Receiver slot at the origin: P = [0; S], A = J P, u = J e0.
+        P = [[zero] * 3] + [[Decimal(float(c)) for c in row] for row in satellites]
+        cols = []
+        for k in range(3):
+            mean = sum(p[k] for p in P) / n
+            cols.append([p[k] - mean for p in P])
+        cols.append([1 - Decimal(1) / n] + [-Decimal(1) / n] * m)
+        basis, coords = [], []
+        for k, c in enumerate(cols):
+            coef, r = project(basis, c)
+            norm = dot(r, r).sqrt()
+            if norm == 0:
+                raise SpectrumError(
+                    f"column {k} of [A, u] lies in the span of the columns before it, "
+                    "so the rank-5 basis does not exist (rank-deficient geometry)"
+                )
+            basis.append([ri / norm for ri in r])
+            coords.append(coef + [norm] + [zero] * (4 - k))
+        M0 = [[sum(coords[c][i] * coords[c][k] for c in range(3)) for k in range(5)]
+              for i in range(5)]
+        ut = coords[3]
+        sq = [dot(p, p) for p in P[1:]]
 
     def eigenvalues(rho):
-        v = [s2 - r * r for s2, r in zip(sq, rho)]
-        mean = fsum(v) / n
-        a, r = project(basis, [-mean] + [vj - mean for vj in v])
-        a.append(mpmath.sqrt(fdot(r, r)))
-        H = mpmath.matrix(
-            [[M0[i][k] + (ut[i] * a[k] + a[i] * ut[k]) / 2 for k in range(5)] for i in range(5)]
-        )
-        E = mpmath.eigsy(H, eigvals_only=True)
-        vals = [E[i] for i in range(5)] + [mpf(0)] * (m - 4)
-        return [vals[i] for i in edm._order_indices(np.array(vals, dtype=object), ordering)]
+        with localcontext(_ORACLE_CONTEXT):
+            v = [s2 - r * r for s2, r in zip(sq, rho)]
+            mean = sum(v) / n
+            a, r = project(basis, [-mean] + [vj - mean for vj in v])
+            a.append(dot(r, r).sqrt())
+            H = [[M0[i][k] + (ut[i] * a[k] + a[i] * ut[k]) / 2 for k in range(5)]
+                 for i in range(5)]
+            vals = _jacobi_eigenvalues(H) + [zero] * (m - 4)
+            return [vals[i] for i in edm._order_indices(np.array(vals, dtype=object), ordering)]
 
     return eigenvalues
 
@@ -426,31 +483,29 @@ def finite_difference_audit(
     For every tracked eigenvalue position i and satellite j the oracle value
     is (lambda_i(v_j = +h) - lambda_i(v_j = -h)) / (2h) with each perturbed
     spectrum recomputed from the positions in 40-digit arithmetic (see
-    _mp_rank5_oracle). The analytic side is the nominal linearisation
+    _rank5_oracle). The analytic side is the nominal linearisation
     the prediction uses. Discrepancies are relative with an absolute floor
     of 1 m^2/m.
     """
-    import mpmath
-
     lo, hi = FD_STEP_RANGE_M
     if not lo <= h <= hi:
         raise ValueError(f"step h must lie in [{lo:g}, {hi:g}] m, got {h}")
     rho, table = perturbation._nominal_linearisation(g, nm, ordering)
 
     fd = np.empty(table.s.shape)
-    with mpmath.workdps(40):
-        eigenvalues = _mp_rank5_oracle(g.satellites, ordering)
-        hm = mpmath.mpf(float(h))
-        rho_mp = [mpmath.mpf(float(x)) for x in rho]
+    eigenvalues = _rank5_oracle(g.satellites, ordering)
+    with localcontext(_ORACLE_CONTEXT):
+        hd = Decimal(float(h))
+        rho_d = [Decimal(float(x)) for x in rho]
         for j in range(g.m):
-            plus = list(rho_mp)
-            plus[j] += hm
-            minus = list(rho_mp)
-            minus[j] -= hm
+            plus = list(rho_d)
+            plus[j] += hd
+            minus = list(rho_d)
+            minus[j] -= hd
             w_plus = eigenvalues(plus)
             w_minus = eigenvalues(minus)
             for a, pos in enumerate(table.positions):
-                fd[a, j] = float((w_plus[pos - 1] - w_minus[pos - 1]) / (2 * hm))
+                fd[a, j] = float((w_plus[pos - 1] - w_minus[pos - 1]) / (2 * hd))
     rel = relative_discrepancy(table.s, fd)
     return FiniteDifferenceAudit(
         h=h,

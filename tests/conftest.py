@@ -35,8 +35,8 @@ def lambda_matrix_100k(mc100k):
     return mc100k.lambdas
 
 
-def dense_mp_eigenvalues(satellites, rho, ordering="magnitude"):
-    """All m + 1 eigenvalues of the literal -J D J / 2 at 40 digits, ranked.
+def dense_mp_eigenvalues(satellites, rho, ordering="magnitude", dps=40):
+    """All m + 1 eigenvalues of the literal -J D J / 2 at ``dps`` digits, ranked.
 
     D is built entry by entry from the positions and the pseudoranges in
     mpmath and diagonalized with mpmath's dense symmetric solver, so this
@@ -44,7 +44,7 @@ def dense_mp_eigenvalues(satellites, rho, ordering="magnitude"):
     pipeline nor its rank-5 reductions). ``ordering`` is "magnitude" or
     "algebraic"; both keep signed values.
     """
-    with mpmath.workdps(40):
+    with mpmath.workdps(dps):
         m = len(rho)
         n = m + 1
         D = mpmath.zeros(n, n)

@@ -253,30 +253,53 @@ class TestConfigHandling:
 
 
 class TestImportBudget:
-    # scipy is not a dependency, and mpmath is the audit's alone: `predict`
-    # and `simulate` must not import either. A fresh interpreter is needed,
-    # since the test session itself imports mpmath.
+    # scipy is not a dependency and mpmath only a test one, so no command may
+    # import either; PyYAML is for config files and the process pool for
+    # --workers, so `predict` and `simulate` without them load neither. A
+    # fresh interpreter is needed, since the test session imports them all.
     SCRIPT = """
 import json, sys
 from edmdetect import cli
 def loaded():
-    return sorted({name.partition(".")[0] for name in sys.modules} & {"scipy", "mpmath"})
+    return sorted({"scipy", "mpmath", "yaml", "concurrent.futures"} & set(sys.modules))
+out, cfg = sys.argv[1:]
 seen = {"import": loaded()}
-assert cli.main(["predict", "--out", sys.argv[1]]) == 0
+assert cli.main(["predict", "--out", out]) == 0
 seen["predict"] = loaded()
-assert cli.main(["simulate", "--trials", "2048", "--out", sys.argv[1]]) == 0
+assert cli.main(["simulate", "--trials", "2048", "--out", out]) == 0
 seen["simulate"] = loaded()
+assert cli.main(["audit", "--out", out]) == 0
+seen["audit"] = loaded()
+assert cli.main(["predict", "--config", cfg, "--out", out]) == 0
+seen["config"] = loaded()
 print(json.dumps(seen))
 """
 
-    def test_predict_and_simulate_load_neither_scipy_nor_mpmath(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def seen(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("imports")
+        cfg = tmp / "config.yaml"
+        cfg.write_text("sigma_v: 3.0\n")
         src = str(Path(edmdetect.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, str(tmp_path)],
+            [sys.executable, "-c", self.SCRIPT, str(tmp), str(cfg)],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        seen = json.loads(proc.stdout.strip().splitlines()[-1])
-        assert seen == {"import": [], "predict": [], "simulate": []}
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+
+    def test_predict_and_simulate_load_neither_scipy_nor_mpmath(self, seen):
+        for command in ("import", "predict", "simulate"):
+            assert not {"scipy", "mpmath"} & set(seen[command]), command
+
+    def test_predict_and_simulate_load_neither_yaml_nor_process_pool(self, seen):
+        for command in ("import", "predict", "simulate"):
+            assert seen[command] == [], command
+
+    def test_audit_does_not_load_mpmath(self, seen):
+        assert seen["audit"] == []
+
+    def test_config_run_still_loads_yaml(self, seen):
+        assert seen["config"] == ["yaml"]

@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import replace
+from decimal import Context, Decimal, localcontext
 from pathlib import Path
 
 import mpmath
@@ -26,10 +27,12 @@ from edmdetect import (
     test_statistic as q_statistic,
     true_ranges,
 )
+from edmdetect import montecarlo
 from edmdetect.montecarlo import (
     TrialBatch,
+    _jacobi_eigenvalues,
     _ks_statistic,
-    _mp_rank5_oracle,
+    _rank5_oracle,
     _trial_block,
     block_noise,
     ks_critical_value,
@@ -358,15 +361,15 @@ class TestFiniteDifferenceAudit:
         assert np.all(audit.relative_discrepancy.max(axis=1) <= bounds)
 
     def test_oracle_solves_only_5x5_matrices(self, monkeypatch, scenario12, noise_default):
-        # Each perturbed spectrum costs one 5x5 eigsy, never an (m+1)^2 one.
+        # Each perturbed spectrum costs one 5x5 Jacobi solve, never an (m+1)^2 one.
         shapes = []
-        eigsy = mpmath.eigsy
+        solve = montecarlo._jacobi_eigenvalues
 
-        def recording_eigsy(A, *args, **kwargs):
-            shapes.append((A.rows, A.cols))
-            return eigsy(A, *args, **kwargs)
+        def recording_solve(A):
+            shapes.append((len(A), *{len(row) for row in A}))
+            return solve(A)
 
-        monkeypatch.setattr(mpmath, "eigsy", recording_eigsy)
+        monkeypatch.setattr(montecarlo, "_jacobi_eigenvalues", recording_solve)
         finite_difference_audit(scenario12, noise_default, 1e-3)
         assert shapes == [(5, 5)] * (2 * scenario12.m)
 
@@ -521,23 +524,46 @@ def test_trial_kernel_matches_extended_precision_oracle(request, scenario, k):
 @pytest.mark.parametrize("ordering", ["magnitude", "algebraic"])
 def test_mp_centering_matches_literal_projection(request, scenario, ordering):
     # The audit's rank-5 oracle against the dense reference, the literal
-    # -J D J / 2 and its full eigsy. Both work at 40 digits but round in a
-    # different order, so eigenvalues, the zero cluster included, may differ
-    # by a few units in the 40th digit of the matrix scale (about 1e-25 m^2
-    # here). Tolerance, fixed in advance: 1e-35 of the largest |eigenvalue|.
+    # -J D J / 2 and its full eigsy. Tolerances, fixed in advance:
+    # - against the 40-digit reference, 1e-35 of the largest |eigenvalue|:
+    #   both round at 40 digits but in a different order, so eigenvalues, the
+    #   zero cluster included, may differ by a few units in the 40th digit of
+    #   the matrix scale (about 1e-25 m^2 here);
+    # - against the 60-digit reference, per eigenvalue: each non-zero one
+    #   within 1e-33 of itself, so an error in the small activated lambda4
+    #   and lambda5 cannot hide under the scale of lambda1, and the zero
+    #   cluster within 1e-35 of the largest |eigenvalue|.
     g = request.getfixturevalue(scenario)
     nm = NoiseModel(sigma_v=3.0, bias_b=1.0e5)
     rho = true_ranges(g) + nm.effective_bias + block_noise(noise_key(3), 0, 1, g.m, 3.0)[0]
-    with mpmath.workdps(40):
-        ref = dense_mp_eigenvalues(g.satellites, rho, ordering)
-        got = _mp_rank5_oracle(g.satellites, ordering)([mpmath.mpf(float(x)) for x in rho])
-        assert len(got) == g.m + 1
-        scale = max(abs(x) for x in ref)
+    got = _rank5_oracle(g.satellites, ordering)([Decimal(float(x)) for x in rho])
+    assert len(got) == g.m + 1
+    ref = dense_mp_eigenvalues(g.satellites, rho, ordering)
+    ref60 = dense_mp_eigenvalues(g.satellites, rho, ordering, dps=60)
+    with mpmath.workdps(60):
+        got = [mpmath.mpf(str(x)) for x in got]
+        scale = max(abs(x) for x in ref60)
         for i in range(g.m + 1):
             assert abs(got[i] - ref[i]) <= 1e-35 * scale, i
+            if abs(ref60[i]) > 1e-30 * scale:
+                assert abs(got[i] - ref60[i]) <= 1e-33 * abs(ref60[i]), i
+            else:
+                assert abs(got[i] - ref60[i]) <= 1e-35 * scale, i
         if scenario == "coplanar_scenario":
             # u inside span(A): only four eigenvalues are non-zero.
-            assert sum(abs(x) > 1e-30 * scale for x in ref) == 4
+            assert sum(abs(x) > 1e-30 * scale for x in ref60) == 4
+
+
+def test_rank5_oracle_pins_its_own_precision(scenario12):
+    # The oracle enters its 40-digit context itself, so the caller's decimal
+    # context (28 digits by default) cannot lower its precision silently.
+    eigenvalues = _rank5_oracle(scenario12.satellites, "magnitude")
+    rho = [Decimal(float(x)) for x in true_ranges(scenario12) + 1.0e5]
+    with localcontext(Context(prec=40)):
+        expected = eigenvalues(rho)
+    assert eigenvalues(rho) == expected
+    with localcontext(Context(prec=12)):
+        assert eigenvalues(rho) == expected
 
 
 def test_rank5_oracle_refuses_a_vanishing_basis_column():
@@ -545,5 +571,57 @@ def test_rank5_oracle_refuses_a_vanishing_basis_column():
     # the origin: the x column of A = J [0; S] is exactly zero.
     sats = generate_constellation(6, 10.0, seed=2).satellites.copy()
     sats[:, 0] = 0.0
-    with mpmath.workdps(40), pytest.raises(SpectrumError, match="column 0"):
-        _mp_rank5_oracle(sats, "magnitude")
+    with pytest.raises(SpectrumError, match="column 0"):
+        _rank5_oracle(sats, "magnitude")
+
+
+def _jacobi_against_eigsy(A):
+    """Max |Jacobi - eigsy| over the sorted spectra, relative to the largest |eigenvalue|.
+
+    ``A`` is a float matrix, which Decimal and mpf both hold exactly.
+    """
+    with localcontext(Context(prec=40)):
+        got = _jacobi_eigenvalues([[Decimal(float(x)) for x in row] for row in A])
+    with mpmath.workdps(40):
+        E = mpmath.eigsy(mpmath.matrix(A.tolist()), eigvals_only=True)
+        ref = sorted(E[i] for i in range(len(A)))
+    with mpmath.workdps(60):
+        got = sorted(mpmath.mpf(str(x)) for x in got)
+        scale = max(abs(x) for x in ref)
+        return max(abs(a - b) for a, b in zip(got, ref)) / scale
+
+
+class TestJacobiEigenvalues:
+    # The audit's 5x5 solver against mpmath's eigsy at 40 digits. Tolerance,
+    # fixed in advance: 1e-35 of the largest |eigenvalue|.
+
+    def test_zero_matrix_returns_at_once(self, monkeypatch):
+        # Already converged, so no sweep is needed.
+        monkeypatch.setattr(montecarlo, "_JACOBI_MAX_SWEEPS", 0)
+        with localcontext(Context(prec=40)):
+            assert _jacobi_eigenvalues([[Decimal(0)] * 5 for _ in range(5)]) == [0] * 5
+
+    def test_diagonal_matrix_is_its_own_spectrum(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_JACOBI_MAX_SWEEPS", 0)
+        d = [Decimal("2.5e15"), Decimal(-3), Decimal(0), Decimal("1e-20"), Decimal("7.25")]
+        A = [[d[i] if i == k else Decimal(0) for k in range(5)] for i in range(5)]
+        with localcontext(Context(prec=40)):
+            assert _jacobi_eigenvalues(A) == d
+
+    def test_repeated_eigenvalue(self):
+        Q, _ = np.linalg.qr(np.random.default_rng(4).normal(size=(5, 5)))
+        A = Q @ np.diag([3.0, 3.0, 3.0, -1.0, 0.5]) @ Q.T
+        assert _jacobi_against_eigsy((A + A.T) / 2) <= 1e-35
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_symmetric_over_ten_decades(self, seed):
+        rng = np.random.default_rng(seed)
+        Q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+        lam = rng.choice([-1.0, 1.0], 5) * 10.0 ** np.r_[0.0, 10.0, rng.uniform(0.0, 10.0, 3)]
+        A = Q @ np.diag(lam) @ Q.T
+        assert _jacobi_against_eigsy((A + A.T) / 2) <= 1e-35
+
+    def test_non_convergence_is_a_spectrum_error(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_JACOBI_MAX_SWEEPS", 0)
+        with localcontext(Context(prec=40)), pytest.raises(SpectrumError, match="0 sweeps"):
+            _jacobi_eigenvalues([[Decimal(1), Decimal(2)], [Decimal(2), Decimal(1)]])
