@@ -101,6 +101,17 @@ def edm_from_gram(G: np.ndarray) -> SquaredDistanceMatrix:
     return SquaredDistanceMatrix(entries=D)
 
 
+def _check_pseudoranges(rho: np.ndarray, m: int) -> np.ndarray:
+    """``rho`` as floats, with shape (..., m) and every entry positive."""
+    rho = np.asarray(rho, dtype=float)
+    if rho.ndim == 0 or rho.shape[-1] != m:
+        raise ValueError(f"pseudorange vectors need {m} entries, one per satellite, "
+                         f"got shape {rho.shape}")
+    if np.any(rho <= 0):
+        raise ValueError("pseudoranges must all be positive")
+    return rho
+
+
 def augment_edm(
     D: SquaredDistanceMatrix | np.ndarray, rho: np.ndarray
 ) -> SquaredDistanceMatrix:
@@ -111,16 +122,10 @@ def augment_edm(
     stack of shape (..., m+1, m+1), one matrix per pseudorange vector.
     """
     entries = D.entries if isinstance(D, SquaredDistanceMatrix) else np.asarray(D, dtype=float)
-    rho = np.asarray(rho, dtype=float)
     m = entries.shape[0]
     if entries.shape != (m, m):
         raise ValueError(f"inter-satellite matrix must be square, got {entries.shape}")
-    if rho.ndim == 0 or rho.shape[-1] != m:
-        raise ValueError(
-            f"pseudorange vectors need {m} entries, one per satellite, got shape {rho.shape}"
-        )
-    if np.any(rho <= 0):
-        raise ValueError("pseudoranges must all be positive")
+    rho = _check_pseudoranges(rho, m)
     rho2 = rho**2
     out = np.zeros(rho.shape[:-1] + (m + 1, m + 1))
     out[..., 1:, 1:] = entries
@@ -183,14 +188,8 @@ def centered_gram_eigvals(satellites: np.ndarray, rho: np.ndarray) -> np.ndarray
     S = np.asarray(satellites, dtype=float)
     if not np.all(np.isfinite(S)):
         raise ValueError("positions must be finite")
-    rho = np.asarray(rho, dtype=float)
     m = S.shape[0]
-    if rho.ndim == 0 or rho.shape[-1] != m:
-        raise ValueError(
-            f"pseudorange vectors need {m} entries, one per satellite, got shape {rho.shape}"
-        )
-    if np.any(rho <= 0):
-        raise ValueError("pseudoranges must all be positive")
+    rho = _check_pseudoranges(rho, m)
     n = m + 1
     P = np.vstack([np.zeros(3), S])
     A = P - P.mean(axis=0)

@@ -351,14 +351,6 @@ def parse_noise(mapping: dict) -> NoiseModel:
         raise ConfigError(str(exc)) from None
 
 
-def parse_scenario(mapping: dict) -> tuple[ScenarioGeometry, NoiseModel]:
-    """Build (geometry, noise model) from a scenario mapping that names a geometry."""
-    spec = parse_geometry(mapping)
-    if not spec.given:
-        raise ConfigError("scenario needs receiver/satellites or a constellation block")
-    return spec.build(), parse_noise(mapping)
-
-
 def read_mapping(path: str | Path) -> dict:
     """The YAML document of a config or scenario file; an empty file gives {}."""
     path = Path(path)
@@ -377,11 +369,3 @@ def read_mapping(path: str | Path) -> dict:
         raise ConfigError(f"cannot parse {path}: {detail}") from None
     return {} if doc is None else doc
 
-
-def load_scenario_file(path: str | Path) -> tuple[ScenarioGeometry, NoiseModel]:
-    """Read a YAML scenario file (schema above, documented in the README)."""
-    mapping = read_mapping(path)
-    try:
-        return parse_scenario(mapping)
-    except GeometryError as exc:
-        raise ConfigError(f"invalid scenario in {path}: {exc}") from exc

@@ -56,7 +56,8 @@ class GramSensitivity:
     """Per-satellite derivatives of the centered Gram matrix, held as rho.
 
     dG_c/dv_j at v = 0 is fixed by the pseudorange rho_j alone (see
-    gram_sensitivities), so only rho is stored.
+    gram_sensitivities), so only rho is stored; eigenvalue_sensitivities
+    contracts the derivatives in closed form and no matrix is ever built.
     """
 
     rho: np.ndarray  # (m,) pseudoranges the derivatives are taken at
@@ -64,13 +65,6 @@ class GramSensitivity:
     @property
     def m(self) -> int:
         return self.rho.shape[0]
-
-    @property
-    def matrices(self) -> np.ndarray:
-        """The explicit (m, m+1, m+1) stack dG_j in m^2/m, built on every read."""
-        J = edm.centering_matrix(self.m + 1)  # u = J e_0 = J[0], c_j = J[j + 1]
-        outer = J[0][None, :, None] * J[1:, None, :]
-        return -self.rho[:, None, None] * (outer + np.swapaxes(outer, 1, 2))
 
 
 @dataclass

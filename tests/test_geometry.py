@@ -13,12 +13,17 @@ from edmdetect import (
     ScenarioGeometry,
     elevation_angles,
     generate_constellation,
-    load_scenario_file,
     nominal_pseudoranges,
     sample_pseudoranges,
     true_ranges,
 )
-from edmdetect.geometry import EARTH_RADIUS_M, _ranges, parse_scenario
+from edmdetect.geometry import (
+    EARTH_RADIUS_M,
+    _ranges,
+    parse_geometry,
+    parse_noise,
+    read_mapping,
+)
 
 
 def elevation_oracle(receiver, satellite):
@@ -190,6 +195,12 @@ class TestSamplePseudoranges:
         assert np.all(s.v == 0.0)
 
 
+def load_scenario(path):
+    """(geometry, noise model) of a scenario file, read the way the CLI reads it."""
+    doc = read_mapping(path)
+    return parse_geometry(doc).build(), parse_noise(doc)
+
+
 class TestScenarioFiles:
     def test_explicit_scenario_roundtrip(self, tmp_path, scenario12):
         path = tmp_path / "scenario.yaml"
@@ -202,7 +213,7 @@ class TestScenarioFiles:
         ]
         lines += ["sigma_v: 2.5", "bias_b: 5.0e4", "bias_inflation: 1.0e4"]
         path.write_text("\n".join(lines) + "\n")
-        geom, nm = load_scenario_file(path)
+        geom, nm = load_scenario(path)
         np.testing.assert_allclose(geom.satellites, scenario12.satellites, rtol=1e-15)
         assert nm.sigma_v == 2.5
         assert nm.effective_bias == 6.0e4
@@ -213,7 +224,7 @@ class TestScenarioFiles:
             "constellation: {n_sats: 8, elevation_mask_deg: 15.0}\n"
             "seed: 4\nsigma_v: 3.0\n"
         )
-        geom, nm = load_scenario_file(path)
+        geom, nm = load_scenario(path)
         expected = generate_constellation(8, 15.0, seed=4)
         assert np.array_equal(geom.satellites, expected.satellites)
         assert nm.bias_b == 1.0e5  # default
@@ -221,7 +232,6 @@ class TestScenarioFiles:
     @pytest.mark.parametrize(
         "doc",
         [
-            {},
             {"receiver": [0, 0, 0]},
             {"receiver": [0, 0, 0], "satellites": [[1, 1, 1]], "constellation": {}},
             {"constellation": {"bogus_key": 1}},
@@ -230,11 +240,11 @@ class TestScenarioFiles:
     )
     def test_invalid_scenario_mappings(self, doc):
         with pytest.raises(ConfigError):
-            parse_scenario(doc)
+            parse_geometry(doc)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
-            load_scenario_file(tmp_path / "nope.yaml")
+            read_mapping(tmp_path / "nope.yaml")
 
     def test_invalid_geometry_in_file(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -246,5 +256,5 @@ class TestScenarioFiles:
             "  - [0.0, 0.0, 1.0e7]\n"
             "  - [1.0e7, 1.0e7, 0.0]\n"
         )
-        with pytest.raises(ConfigError):
-            load_scenario_file(path)
+        with pytest.raises(GeometryError):
+            load_scenario(path)
