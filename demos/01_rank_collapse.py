@@ -23,6 +23,7 @@ from edmdetect import (
     test_statistic,
     true_ranges,
 )
+from edmdetect.perturbation import GAP_TOL_REL_DEFAULT
 
 scenario = generate_constellation(n_sats=12, elevation_mask_deg=10.0, seed=1)
 d = true_ranges(scenario)
@@ -35,10 +36,11 @@ def show(label, rho):
     w = s.eigenvalues
     q = test_statistic(s)
     head = ", ".join(f"{x: .3e}" for x in w[:6])
-    n_nonzero = int(np.sum(np.abs(w) > 1e-9 * np.abs(w).max()))
+    n_nonzero = int(np.sum(np.abs(w) > GAP_TOL_REL_DEFAULT * np.abs(w).max()))
     print(f"\n{label}")
     print(f"  leading eigenvalues (m^2): {head}, ...")
-    print(f"  non-zero count (1e-9 relative): {n_nonzero}")
+    print(f"  non-zero count (above {GAP_TOL_REL_DEFAULT:g} of |lambda1|, the floor of "
+          f"predict's gap guard and audit's rank rows): {n_nonzero}")
     print(f"  q = {q:.6e}")
 
 

@@ -31,9 +31,10 @@ from .errors import DegenerateEigenvalueError
 TRACKED_DEFAULT = (1, 4, 5)
 
 # Relative (to the largest |eigenvalue|) gap below which a tracked eigenvalue
-# is treated as numerically multiple and first-order tracking refused. Must
-# sit well below the bias-activated fifth eigenvalue (~1e-8 of lambda_1 for a
-# 1e5 m bias) yet well above double-precision spectral noise (~1e-15).
+# is treated as numerically multiple and first-order tracking refused; `audit`
+# counts an eigenvalue as non-zero above the same fraction. Must sit well below
+# the bias-activated fifth eigenvalue (~1e-8 of lambda_1 for a 1e5 m bias) yet
+# well above double-precision spectral noise (~1e-15).
 GAP_TOL_REL_DEFAULT = 1e-12
 
 # What separates a degenerate tracked eigenvalue, per ordering. Under
@@ -146,12 +147,8 @@ def gram_sensitivities(rho: np.ndarray) -> GramSensitivity:
     return GramSensitivity(rho=np.asarray(rho, dtype=float))
 
 
-def eigenvalue_sensitivities(
-    spec: edm.GramSpectrum,
-    gs: GramSensitivity,
-    tracked: tuple[int, ...] = TRACKED_DEFAULT,
-) -> SensitivityTable:
-    """First-order response of tracked eigenvalues to each noise channel.
+def eigenvalue_sensitivities(spec: edm.GramSpectrum, gs: GramSensitivity) -> SensitivityTable:
+    """First-order response of the TRACKED_DEFAULT eigenvalues to each noise channel.
 
     Rows use the closed form of the module docstring. Every tracked
     eigenvalue must be simple: its gap to the rest of the spectrum has to
@@ -161,9 +158,9 @@ def eigenvalue_sensitivities(
     """
     w = spec.eigenvalues
     tol = GAP_TOL_REL_DEFAULT * max(float(np.abs(w).max()), 1.0)
-    rows = np.empty((len(tracked), gs.m))
-    nominal = np.empty(len(tracked))
-    for a, pos in enumerate(tracked):
+    rows = np.empty((len(TRACKED_DEFAULT), gs.m))
+    nominal = np.empty(len(TRACKED_DEFAULT))
+    for a, pos in enumerate(TRACKED_DEFAULT):
         lam, z = spec.eigenpair(pos)
         others = np.delete(w, pos - 1)
         gap = float(np.abs(others - lam).min()) if others.size else np.inf
@@ -177,7 +174,7 @@ def eigenvalue_sensitivities(
         zc = z - z.mean()
         rows[a] = -2.0 * gs.rho * zc[0] * zc[1:] / float(z @ z)
         nominal[a] = lam
-    return SensitivityTable(positions=tuple(tracked), s=rows, nominal=nominal)
+    return SensitivityTable(positions=TRACKED_DEFAULT, s=rows, nominal=nominal)
 
 
 def eigenvalue_variance(row: np.ndarray, sigma_v: float) -> float:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,19 +11,38 @@ import numpy as np
 import pytest
 
 import edmdetect
-from edmdetect import centered_gram, centered_gram_eigvals, generate_constellation, true_ranges
+from edmdetect import (
+    DegenerateEigenvalueError,
+    NoiseModel,
+    centered_gram,
+    centered_gram_eigvals,
+    generate_constellation,
+    predict_q_distribution,
+    true_ranges,
+)
 from edmdetect.cli import (
-    AUDIT_RANK_TOL,
+    _RUN_KEYS,
     EXIT_AUDIT,
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
+    _build_parser,
     main,
 )
+from edmdetect.geometry import GEOMETRY_KEYS, NOISE_KEYS
+from edmdetect.perturbation import GAP_TOL_REL_DEFAULT
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(argv):
     return main(argv)
+
+
+def nonzero_count(w):
+    """Number of eigenvalues above the prediction's gap floor, as the audit counts."""
+    w = np.abs(w)
+    return int(np.sum(w > GAP_TOL_REL_DEFAULT * w.max()))
 
 
 class TestSimulate:
@@ -132,19 +152,41 @@ class TestAudit:
     @pytest.mark.parametrize("m, mask", [(5, 10.0), (12, 10.0), (30, 5.0), (60, 5.0)])
     def test_rank_rows_count_like_the_dense_spectrum(self, m, mask):
         # The rank rows count on the trial kernel; the dense eigensolve of
-        # centered_gram is the reference, with the audit's tolerance.
-        def count(w):
-            w = np.abs(w)
-            return int(np.sum(w > AUDIT_RANK_TOL * w.max()))
-
+        # centered_gram is the reference, under the same floor.
         g = generate_constellation(m, mask, seed=1)
         d = true_ranges(g)
-        # At 1e3 m the count sits below 5 under this tolerance; only agreement is asserted.
-        for bias, rank in ((0.0, 3), (1e3, None), (1e5, 5)):
+        for bias, rank in ((0.0, 3), (1e3, 5), (1e5, 5)):
             rho = d + bias
-            dense = count(np.linalg.eigvalsh(centered_gram(g.satellites, rho)))
-            assert count(centered_gram_eigvals(g.satellites, rho)) == dense, (m, bias)
-            assert rank in (None, dense), (m, bias)
+            dense = nonzero_count(np.linalg.eigvalsh(centered_gram(g.satellites, rho)))
+            assert nonzero_count(centered_gram_eigvals(g.satellites, rho)) == dense, (m, bias)
+            assert dense == rank, (m, bias)
+
+    def test_small_constellation_activation_passes_where_predict_answers(self, tmp_path):
+        # Under a 1e-9 floor this scenario's lambda5 counted as zero, so the
+        # audit failed a scenario that `predict` answers.
+        cfg = tmp_path / "eight.yaml"
+        cfg.write_text("constellation: {n_sats: 8}\nseed: 2\n")
+        out = tmp_path / "a"
+        assert run(["audit", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        checks = json.loads((out / "audit.json").read_text())["checks"]
+        assert checks[2]["name"].startswith("bias activation") and checks[2]["value"] == 5.0
+
+    def test_rank_five_exactly_where_predict_answers(self):
+        # The bias-activation count and the prediction's gap guard must draw
+        # the same line; with no bias the count is the geometry's rank, 3.
+        for m in (5, 6, 8, 12, 20, 30, 60):
+            for seed in (1, 2, 3):
+                g = generate_constellation(m, seed=seed)
+                d = true_ranges(g)
+                assert nonzero_count(centered_gram_eigvals(g.satellites, d)) == 3, (m, seed)
+                for bias in (1e5, 1e3, 1e2, 30.0, 10.0, 3.0):
+                    count = nonzero_count(centered_gram_eigvals(g.satellites, d + bias))
+                    try:
+                        predict_q_distribution(g, NoiseModel(sigma_v=3.0, bias_b=bias))
+                    except DegenerateEigenvalueError:
+                        assert count == 4, (m, seed, bias)
+                    else:
+                        assert count == 5, (m, seed, bias)
 
     def test_zero_bias_refused_like_predict(self, tmp_path, capsys):
         code = run(["audit", "--bias", "0", "--out", str(tmp_path / "a")])
@@ -221,8 +263,8 @@ class TestConfigHandling:
             (["predict", "--sigma", "inf"], None),
             (["predict", "--bias", "nan"], None),
             (["predict", "--inflate-bias", "inf"], None),
-            (["audit", "--fd-step", "10"], None),
-            (["simulate", "--workers", "0"], None),
+            (["audit"], "fd_step: 1.0e-3\n"),
+            (["simulate"], "workers: 2\n"),
             (["predict"], "constellation: {n_sats: abc}\n"),
             (["predict"], "sigma_v: foo\n"),
             (["predict"], "trials: many\n"),
@@ -266,15 +308,26 @@ class TestConfigHandling:
         assert docs["generated"]["scenario_seed"] == 3
         assert generator_keys <= set(docs["generated"])
 
+    @pytest.mark.parametrize("flag, key", [("--workers", "workers"), ("--fd-step", "fd_step")])
+    def test_removed_knobs_exit_two(self, tmp_path, capsys, flag, key):
+        with pytest.raises(SystemExit) as exc:
+            run(["audit", flag, "1"])
+        assert exc.value.code == EXIT_CONFIG
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"{key}: 1\n")
+        assert run(["audit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+
     def test_exit_codes_are_distinct(self):
         assert len({EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_AUDIT}) == 4
 
 
 class TestImportBudget:
     # scipy is not a dependency and mpmath only a test one, so no command may
-    # import either; PyYAML is for config files and the process pool for
-    # --workers, so `predict` and `simulate` without them load neither. A
-    # fresh interpreter is needed, since the test session imports them all.
+    # import either; PyYAML is for config files and the process pool only for
+    # library callers of run_trials(workers > 1), so no command without a
+    # config file loads either. A fresh interpreter is needed, since the test
+    # session imports them all.
     SCRIPT = """
 import json, sys
 from edmdetect import cli
@@ -321,3 +374,22 @@ print(json.dumps(seen))
 
     def test_config_run_still_loads_yaml(self, seen):
         assert seen["config"] == ["yaml"]
+
+
+class TestReadmeMatchesCli:
+    # The README documents every flag and config key; removed knobs must not
+    # linger there.
+    text = README.read_text()
+
+    def test_flag_table_lists_exactly_the_parser_flags(self):
+        (sub,) = (a for a in _build_parser()._actions if a.choices and "audit" in a.choices)
+        flags = {
+            opt for p in sub.choices.values() for a in p._actions for opt in a.option_strings
+        } - {"-h", "--help"}
+        documented = re.findall(r"^\| `(--[\w-]+)", self.text, flags=re.M)
+        assert sorted(documented) == sorted(flags)
+
+    def test_config_example_lists_exactly_the_config_keys(self):
+        (example,) = re.findall(r"```yaml\n(.*?)```", self.text, flags=re.S)
+        keys = re.findall(r"^(?:# )?(\w+):", example, flags=re.M)
+        assert sorted(keys) == sorted({*GEOMETRY_KEYS, *NOISE_KEYS, *_RUN_KEYS})

@@ -197,9 +197,10 @@ class TestEigenvalueSensitivities:
             assert err.max() <= 1e-12, (pos, err.max())
 
     def test_degenerate_eigenvalue_refused(self):
-        spec = diag_spectrum([5.0, 2.0, 2.0 + 1e-13])
-        with pytest.raises(DegenerateEigenvalueError, match="bias"):
-            eigenvalue_sensitivities(spec, GramSensitivity(rho=np.ones(2)), tracked=(2,))
+        # Positions 4 and 5 lie 1e-13 apart, inside the 5e-12 gap floor.
+        spec = diag_spectrum([5.0, 4.0, 3.0, 2.0, 2.0 + 1e-13])
+        with pytest.raises(DegenerateEigenvalueError, match="position 4 .*bias"):
+            eigenvalue_sensitivities(spec, GramSensitivity(rho=np.ones(4)))
 
     def test_matches_eigenvalue_finite_differences(self, scenario12, noise_default):
         # h = 1e-3 m central differences through the full pipeline must agree
