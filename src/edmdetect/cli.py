@@ -29,7 +29,6 @@ EXIT_AUDIT = 4
 _RUN_KEYS = {
     "trials": (int, 10_000),
     "master_seed": (int, 42),
-    "ordering": (str, edm.DEFAULT_ORDERING),
     "p_fa": (float, 0.01),
     "out": (str, "out"),
 }
@@ -50,7 +49,6 @@ class RunConfig:
     noise: geometry.NoiseModel
     trials: int
     master_seed: int
-    ordering: str
     p_fa: float
     out_dir: Path
 
@@ -59,10 +57,6 @@ class RunConfig:
             raise ConfigError(f"trials must be >= 2, got {self.trials}")
         if not 0.0 < self.p_fa < 0.5:
             raise ConfigError(f"pfa must lie in (0, 0.5), got {self.p_fa}")
-        if self.ordering not in edm.ORDERINGS:
-            raise ConfigError(
-                f"ordering must be one of {edm.ORDERINGS}, got {self.ordering!r}"
-            )
         if self.master_seed < 0:
             raise ConfigError("seed must be non-negative")
 
@@ -73,7 +67,7 @@ class RunConfig:
             **asdict(self.noise),
             "trials": self.trials,
             "master_seed": self.master_seed,
-            "ordering": self.ordering,
+            "ordering": edm.ORDERING_MAGNITUDE,
             "p_fa": self.p_fa,
         }
 
@@ -117,15 +111,10 @@ def build_scenario(cfg: RunConfig) -> tuple[geometry.ScenarioGeometry, geometry.
 def cmd_simulate(cfg: RunConfig) -> int:
     """Run the Monte Carlo experiment and write trials/summary/histogram files."""
     geom, nm = build_scenario(cfg)
-    dist = perturbation.predict_q_distribution(geom, nm, cfg.ordering)
+    dist = perturbation.predict_q_distribution(geom, nm)
     thresholds = perturbation.detection_threshold(dist, cfg.p_fa)
     batch = montecarlo.run_trials(
-        geom,
-        nm,
-        cfg.trials,
-        cfg.master_seed,
-        ordering=cfg.ordering,
-        threshold=thresholds.one_sided_hi,
+        geom, nm, cfg.trials, cfg.master_seed, threshold=thresholds.one_sided_hi
     )
     summary = montecarlo.summarize(batch, dist)
 
@@ -150,7 +139,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 def cmd_predict(cfg: RunConfig) -> int:
     """Write the predicted q distribution and thresholds; no simulation."""
     geom, nm = build_scenario(cfg)
-    dist = perturbation.predict_q_distribution(geom, nm, cfg.ordering)
+    dist = perturbation.predict_q_distribution(geom, nm)
     thresholds = perturbation.detection_threshold(dist, cfg.p_fa)
     doc = dist.to_json_dict()
     doc["thresholds"] = thresholds._asdict()
@@ -173,7 +162,7 @@ def _audit_checks(cfg: RunConfig) -> list[tuple[str, float, float, bool]]:
     prediction's own gap floor (GAP_TOL_REL_DEFAULT of the largest magnitude).
     """
     geom, nm = build_scenario(cfg)
-    fd = montecarlo.finite_difference_audit(geom, nm, AUDIT_FD_STEP, cfg.ordering)
+    fd = montecarlo.finite_difference_audit(geom, nm, AUDIT_FD_STEP)
     err = fd.max_relative_discrepancy
     rows = [(f"finite-difference max relative discrepancy (h={AUDIT_FD_STEP} m)",
              err, AUDIT_FD_TOL, err <= AUDIT_FD_TOL)]
@@ -220,14 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     shared.add_argument("--bias", dest="bias_b", type=float, help="receiver clock bias, meters")
     shared.add_argument(
-        "--inflate-bias", dest="bias_inflation", type=float,
-        help="artificial additive clock bias, meters",
-    )
-    shared.add_argument(
         "--pfa", dest="p_fa", type=float, help="false-alarm probability in (0, 0.5)"
-    )
-    shared.add_argument(
-        "--ordering", choices=list(edm.ORDERINGS), help="eigenvalue ordering"
     )
     shared.add_argument("--out", help="output directory (default: out)")
 

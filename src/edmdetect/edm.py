@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SpectrumError
+from .errors import GeometryError, SpectrumError
 
 ORDERING_ALGEBRAIC = "algebraic"
 ORDERING_MAGNITUDE = "magnitude"
@@ -25,8 +25,9 @@ ORDERINGS = (ORDERING_ALGEBRAIC, ORDERING_MAGNITUDE)
 # For the indefinite centered Gram matrix the bias-activated fifth eigenvalue
 # is negative, so ranking by magnitude is what keeps positions 4 and 5 on the
 # two activated eigenvalues; algebraic ranking leaves position 5 pinned to the
-# zero cluster. Magnitude is therefore the default; algebraic stays available
-# for comparison.
+# zero cluster. Magnitude is therefore the default and the only ranking the
+# trial kernel, the prediction and the FD audit use for q; algebraic ranking
+# survives as the trial kernel's q_alt comparison.
 DEFAULT_ORDERING = ORDERING_MAGNITUDE
 
 _NEG_CLIP_REL = 1e-6
@@ -108,7 +109,7 @@ def _check_pseudoranges(rho: np.ndarray, m: int) -> np.ndarray:
         raise ValueError(f"pseudorange vectors need {m} entries, one per satellite, "
                          f"got shape {rho.shape}")
     if np.any(rho <= 0):
-        raise ValueError("pseudoranges must all be positive")
+        raise GeometryError("pseudoranges must all be positive")
     return rho
 
 

@@ -8,6 +8,7 @@ safe and results are reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -103,27 +104,16 @@ class ScenarioGeometry:
 
 @dataclass
 class NoiseModel:
-    """Pseudorange error model: i.i.d. N(0, sigma_v^2) noise plus a clock bias.
-
-    ``bias_inflation`` is an additive artificial bias used to separate the
-    fourth and fifth eigenvalues when the physical bias alone is too small.
-    """
+    """Pseudorange error model: i.i.d. N(0, sigma_v^2) noise plus a clock bias."""
 
     sigma_v: float = DEFAULT_SIGMA_V_M
     bias_b: float = DEFAULT_BIAS_M
-    bias_inflation: float = 0.0
 
     def __post_init__(self):
         if not (self.sigma_v > 0 and np.isfinite(self.sigma_v)):
             raise ValueError(f"sigma_v must be finite and > 0, got {self.sigma_v}")
-        if not np.isfinite(self.effective_bias):
-            raise ValueError(
-                f"clock bias must be finite, got {self.bias_b} + {self.bias_inflation}"
-            )
-
-    @property
-    def effective_bias(self) -> float:
-        return self.bias_b + self.bias_inflation
+        if not np.isfinite(self.bias_b):
+            raise ValueError(f"clock bias must be finite, got {self.bias_b}")
 
 
 @dataclass
@@ -227,7 +217,7 @@ def sample_pseudoranges(
     nm: NoiseModel,
     seed: int | np.random.SeedSequence | np.random.Generator | None,
 ) -> PseudorangeSample:
-    """Draw one noisy pseudorange vector: rho = d + effective bias + v.
+    """Draw one noisy pseudorange vector: rho = d + clock bias + v.
 
     ``v`` is i.i.d. N(0, sigma_v^2); the draw is deterministic per seed.
     """
@@ -236,16 +226,16 @@ def sample_pseudoranges(
         raise GeometryError("true ranges must all be positive")
     rng = np.random.default_rng(seed)
     v = rng.normal(0.0, nm.sigma_v, size=d.shape[0])
-    b = nm.effective_bias
+    b = nm.bias_b
     return PseudorangeSample(rho=d + b + v, d_true=d, b_effective=b, v=v)
 
 
 def nominal_pseudoranges(d: np.ndarray, nm: NoiseModel) -> PseudorangeSample:
-    """The exact noiseless sample rho = d + effective bias (v = 0)."""
+    """The exact noiseless sample rho = d + clock bias (v = 0)."""
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0):
         raise GeometryError("true ranges must all be positive")
-    b = nm.effective_bias
+    b = nm.bias_b
     return PseudorangeSample(rho=d + b, d_true=d, b_effective=b, v=np.zeros_like(d))
 
 
@@ -256,19 +246,27 @@ def nominal_pseudoranges(d: np.ndarray, nm: NoiseModel) -> PseudorangeSample:
 # A YAML mapping with SI-meter values: either an explicit point set
 # (receiver: [x, y, z]; satellites: [[x, y, z], ...]) or a generated one
 # (constellation: {n_sats, elevation_mask_deg, orbit_radius_m}; seed), plus
-# the optional noise keys sigma_v, bias_b and bias_inflation. The README
-# gives a full example.
+# the optional noise keys sigma_v and bias_b. The README gives a full example.
 
 GEOMETRY_KEYS = ("receiver", "satellites", "constellation", "seed")
-NOISE_KEYS = ("sigma_v", "bias_b", "bias_inflation")
+NOISE_KEYS = ("sigma_v", "bias_b")
 
 
 def config_value(mapping: dict, key: str, kind, default=None):
-    """``kind(mapping.get(key, default))``; a value ``kind`` rejects raises ConfigError."""
+    """``kind(mapping.get(key, default))``; a value ``kind`` rejects raises ConfigError.
+
+    An ``int`` value must be integral, never truncated: 2.9 is refused while
+    1.0e5 (a string to YAML 1.1) gives 100000.
+    """
     value = mapping.get(key, default)
     try:
+        if kind is int:
+            exact = Decimal(value)  # exact for ints, floats and numeric strings alike
+            if exact != exact.to_integral_value():
+                raise ValueError
+            return int(exact)
         return kind(value)
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError, ArithmeticError):
         raise ConfigError(f"invalid value for {key}: {value!r}") from None
 
 
@@ -335,6 +333,8 @@ def parse_geometry(mapping: dict) -> GeometrySpec:
         "orbit_radius_m": config_value(params, "orbit_radius_m", float, DEFAULT_ORBIT_RADIUS_M),
         "seed": config_value(mapping, "seed", int, 1),
     }
+    if kwargs["seed"] < 0:
+        raise ConfigError("seed must be non-negative")
     return GeometrySpec(kwargs, given=has_generated)
 
 

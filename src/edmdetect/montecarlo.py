@@ -51,12 +51,13 @@ _SQRT2 = math.sqrt(2.0)
 class TrialBatch:
     """Columnar results of k noisy trials; row t belongs to trial t.
 
-    ``q_alt`` is the statistic recomputed under the other eigenvalue
-    ordering; it is a diagnostic and not part of the CSV contract.
+    ``q`` and ``lambdas`` rank the eigenvalues by magnitude. ``q_alt`` is
+    the statistic recomputed under algebraic ranking; it is a diagnostic and
+    not part of the CSV contract.
     """
 
     q: np.ndarray  # (k,)
-    lambdas: np.ndarray  # (k, 5) leading eigenvalues per configured ordering
+    lambdas: np.ndarray  # (k, 5) leading eigenvalues by magnitude
     exceeded: np.ndarray | None  # (k,) bool, or None when no threshold was given
     q_alt: np.ndarray  # (k,)
 
@@ -69,7 +70,6 @@ class SimulationSummary:
     """Empirical statistics of a trial batch plus the comparison verdict data."""
 
     n_trials: int
-    ordering: str
     q_mean: float
     q_std: float
     lambda_mean: np.ndarray  # (5,)
@@ -83,14 +83,13 @@ class SimulationSummary:
     correlation: np.ndarray  # (4, 4) over _CORRELATION_LABELS
     degenerate: bool
     predicted: StatisticDistribution
-    alt_ordering: str
     q_alt_mean: float
     q_alt_std: float
 
     def to_json_dict(self) -> dict:
         return {
             "n_trials": self.n_trials,
-            "ordering": self.ordering,
+            "ordering": edm.ORDERING_MAGNITUDE,
             "q_mean": self.q_mean,
             "q_std": self.q_std,
             "lambda_mean": [float(x) for x in self.lambda_mean],
@@ -112,19 +111,11 @@ class SimulationSummary:
             "degenerate": self.degenerate,
             "predicted": self.predicted.to_json_dict(),
             "q_alt": {
-                "ordering": self.alt_ordering,
+                "ordering": edm.ORDERING_ALGEBRAIC,
                 "mean": self.q_alt_mean,
                 "std": self.q_alt_std,
             },
         }
-
-
-def _other_ordering(ordering: str) -> str:
-    return (
-        edm.ORDERING_ALGEBRAIC
-        if ordering == edm.ORDERING_MAGNITUDE
-        else edm.ORDERING_MAGNITUDE
-    )
 
 
 def _exceeds(q: np.ndarray, threshold) -> np.ndarray:
@@ -154,20 +145,22 @@ def _trial_block(
     satellites: np.ndarray,
     d: np.ndarray,
     sigma_v: float,
-    b_eff: float,
+    bias_b: float,
     key: np.ndarray,
     block: int,
     k: int,
-    ordering: str,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run the first k trials of a block: returns (q, first-5 eigenvalues, q_alt)."""
-    rho = d + b_eff + block_noise(key, block, k, d.shape[0], sigma_v)
+    """Run the first k trials of a block: returns (q, first-5 eigenvalues, q_alt).
+
+    q and the eigenvalues rank by magnitude, q_alt by algebraic order.
+    """
+    rho = d + bias_b + block_noise(key, block, k, d.shape[0], sigma_v)
     # Columns 5.. are exact zeros, so ranking the five Ritz values with one of
     # them gives the same first five values as ranking all m + 1.
     w = edm.centered_gram_eigvals(satellites, rho)[:, :6]
     w_main, w_alt = (
         np.take_along_axis(w, edm._order_indices(w, order), axis=-1)
-        for order in (ordering, _other_ordering(ordering))
+        for order in (edm.ORDERING_MAGNITUDE, edm.ORDERING_ALGEBRAIC)
     )
     lam1 = w_main[:, 0]
     bad = np.flatnonzero(lam1 == 0.0)
@@ -185,7 +178,6 @@ def run_trials(
     nm: geometry.NoiseModel,
     n_trials: int,
     master_seed: int,
-    ordering: str = edm.DEFAULT_ORDERING,
     threshold=None,
     workers: int = 1,
 ) -> TrialBatch:
@@ -200,13 +192,11 @@ def run_trials(
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     if master_seed < 0:
         raise ValueError("master_seed must be non-negative")
-    if ordering not in edm.ORDERINGS:
-        raise ValueError(f"ordering must be one of {edm.ORDERINGS}, got {ordering!r}")
     d = geometry.true_ranges(g)
     key = noise_key(master_seed)
     args = [
-        (g.satellites, d, nm.sigma_v, nm.effective_bias, key, start // _BLOCK,
-         min(_BLOCK, n_trials - start), ordering)
+        (g.satellites, d, nm.sigma_v, nm.bias_b, key, start // _BLOCK,
+         min(_BLOCK, n_trials - start))
         for start in range(0, n_trials, _BLOCK)
     ]
     if workers <= 1 or len(args) == 1:
@@ -283,7 +273,6 @@ def summarize(
 
     return SimulationSummary(
         n_trials=n,
-        ordering=dist.ordering,
         q_mean=q_mean,
         q_std=q_std,
         lambda_mean=lams.mean(axis=0),
@@ -297,7 +286,6 @@ def summarize(
         correlation=corr,
         degenerate=degenerate,
         predicted=dist,
-        alt_ordering=_other_ordering(dist.ordering),
         q_alt_mean=float(batch.q_alt.mean()),
         q_alt_std=float(batch.q_alt.std(ddof=1)),
     )
@@ -393,11 +381,11 @@ def _jacobi_eigenvalues(A: list[list[Decimal]]) -> list[Decimal]:
     return [a[i][i] for i in range(n)]
 
 
-def _rank5_oracle(satellites: np.ndarray, ordering: str):
+def _rank5_oracle(satellites: np.ndarray):
     """Extended-precision spectra of the centered Gram at a fixed geometry.
 
     Returns ``eigenvalues(rho)``: the m + 1 eigenvalues of the centered Gram
-    built from Decimal pseudoranges ``rho``, ranked per ``ordering``.
+    built from Decimal pseudoranges ``rho``, ranked by magnitude.
     Eigenvalue differences of order h * s sit ~9 decades below the matrix
     norm, far inside double-precision eigensolver noise, so everything is
     rebuilt in 40-digit decimal arithmetic (_ORACLE_CONTEXT, entered by the
@@ -466,8 +454,7 @@ def _rank5_oracle(satellites: np.ndarray, ordering: str):
             a.append(dot(r, r).sqrt())
             H = [[M0[i][k] + (ut[i] * a[k] + a[i] * ut[k]) / 2 for k in range(5)]
                  for i in range(5)]
-            vals = _jacobi_eigenvalues(H) + [zero] * (m - 4)
-            return [vals[i] for i in edm._order_indices(np.array(vals, dtype=object), ordering)]
+            return sorted(_jacobi_eigenvalues(H) + [zero] * (m - 4), key=abs, reverse=True)
 
     return eigenvalues
 
@@ -476,7 +463,6 @@ def finite_difference_audit(
     g: geometry.ScenarioGeometry,
     nm: geometry.NoiseModel,
     h: float,
-    ordering: str = edm.DEFAULT_ORDERING,
 ) -> FiniteDifferenceAudit:
     """Audit the analytic sensitivities with a central-difference oracle.
 
@@ -490,10 +476,10 @@ def finite_difference_audit(
     lo, hi = FD_STEP_RANGE_M
     if not lo <= h <= hi:
         raise ValueError(f"step h must lie in [{lo:g}, {hi:g}] m, got {h}")
-    rho, table = perturbation._nominal_linearisation(g, nm, ordering)
+    rho, table = perturbation._nominal_linearisation(g, nm)
 
     fd = np.empty(table.s.shape)
-    eigenvalues = _rank5_oracle(g.satellites, ordering)
+    eigenvalues = _rank5_oracle(g.satellites)
     with localcontext(_ORACLE_CONTEXT):
         hd = Decimal(float(h))
         rho_d = [Decimal(float(x)) for x in rho]

@@ -37,16 +37,6 @@ TRACKED_DEFAULT = (1, 4, 5)
 # well above double-precision spectral noise (~1e-15).
 GAP_TOL_REL_DEFAULT = 1e-12
 
-# What separates a degenerate tracked eigenvalue, per ordering. Under
-# algebraic ranking position 5 sits among the m - 4 exact zeros once m > 5.
-_DEGENERATE_ADVICE = {
-    edm.ORDERING_MAGNITUDE: "Increase the effective clock bias (bias inflation) to "
-    "separate the activated eigenvalues.",
-    edm.ORDERING_ALGEBRAIC: "Under algebraic ordering the positions past the positive "
-    "activated eigenvalue fall among the zero eigenvalues, which more bias cannot "
-    "separate; use magnitude ordering, which ranks the negative activated one fifth.",
-}
-
 # Denominator coefficient of variation above which the Gaussian ratio
 # approximation is no longer trusted; violations warn rather than fail.
 RATIO_CV_GUARD = 0.1
@@ -120,10 +110,10 @@ class StatisticDistribution:
     sigma_q: float
     covariance_num_den: float
     validity_warnings: tuple[str, ...]
-    ordering: str
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "validity_warnings": list(self.validity_warnings)}
+        doc = {**asdict(self), "validity_warnings": list(self.validity_warnings)}
+        return {**doc, "ordering": edm.ORDERING_MAGNITUDE}
 
 
 class DetectionThresholds(NamedTuple):
@@ -169,7 +159,7 @@ def eigenvalue_sensitivities(spec: edm.GramSpectrum, gs: GramSensitivity) -> Sen
                 f"eigenvalue at position {pos} ({lam:.6e} m^2) is within "
                 f"{gap:.3e} m^2 of its nearest neighbor (tolerance {tol:.3e} m^2); "
                 "its eigenvector is unstable, so first-order tracking would be "
-                "unreliable. " + _DEGENERATE_ADVICE[spec.ordering]
+                "unreliable. A larger clock bias separates the activated eigenvalues."
             )
         zc = z - z.mean()
         rows[a] = -2.0 * gs.rho * zc[0] * zc[1:] / float(z @ z)
@@ -232,28 +222,27 @@ def ratio_gaussian(
 
 
 def _nominal_linearisation(
-    g: geometry.ScenarioGeometry, nm: geometry.NoiseModel, ordering: str
+    g: geometry.ScenarioGeometry, nm: geometry.NoiseModel
 ) -> tuple[np.ndarray, SensitivityTable]:
     """Nominal pseudoranges and their TRACKED_DEFAULT sensitivity table.
 
-    Noiseless biased pseudoranges -> dense centered-Gram spectrum ->
-    closed-form sensitivities. A zero effective bias is refused up front.
+    Noiseless biased pseudoranges -> dense magnitude-ranked centered-Gram
+    spectrum -> closed-form sensitivities. A zero clock bias is refused up
+    front.
     """
-    if nm.effective_bias == 0.0:
+    if nm.bias_b == 0.0:
         raise DegenerateEigenvalueError(
-            "effective clock bias is zero, so the eigenvectors of the fourth and "
-            "fifth eigenvalues are set by the noise itself and cannot be tracked; "
-            "keep the clock bias in the pseudoranges or add bias inflation"
+            "clock bias is zero, so the eigenvectors of the fourth and fifth "
+            "eigenvalues are set by the noise itself and cannot be tracked; "
+            "keep the clock bias in the pseudoranges"
         )
     rho = geometry.nominal_pseudoranges(geometry.true_ranges(g), nm).rho
-    spec = edm.spectrum(edm.centered_gram(g.satellites, rho), ordering)
+    spec = edm.spectrum(edm.centered_gram(g.satellites, rho), edm.ORDERING_MAGNITUDE)
     return rho, eigenvalue_sensitivities(spec, gram_sensitivities(rho))
 
 
 def predict_q_distribution(
-    g: geometry.ScenarioGeometry,
-    nm: geometry.NoiseModel,
-    ordering: str = edm.DEFAULT_ORDERING,
+    g: geometry.ScenarioGeometry, nm: geometry.NoiseModel
 ) -> StatisticDistribution:
     """Predict the fault-free Gaussian distribution of q for a scenario.
 
@@ -262,7 +251,7 @@ def predict_q_distribution(
     denominator are treated as independent; their first-order covariance is
     reported as a diagnostic so the assumption can be checked.
     """
-    _, table = _nominal_linearisation(g, nm, ordering)
+    _, table = _nominal_linearisation(g, nm)
     lam1 = table.nominal_value(1)
     num = numerator_moments(table, table.nominal_value(4), table.nominal_value(5), nm.sigma_v)
     sigma_den = 2.0 * np.sqrt(eigenvalue_variance(table.row(1), nm.sigma_v))
@@ -280,7 +269,6 @@ def predict_q_distribution(
         sigma_q=ratio.sigma,
         covariance_num_den=cov,
         validity_warnings=warnings,
-        ordering=ordering,
     )
 
 

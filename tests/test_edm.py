@@ -109,7 +109,7 @@ class TestGramCentered:
 
     def test_row_sums_vanish(self, scenario12, noise_default):
         d = true_ranges(scenario12)
-        G_c = centered_gram(scenario12.satellites, d + noise_default.effective_bias)
+        G_c = centered_gram(scenario12.satellites, d + noise_default.bias_b)
         ones = np.ones(G_c.shape[0])
         assert np.linalg.norm(G_c @ ones) <= 1e-9 * np.linalg.norm(G_c)
 
@@ -131,7 +131,7 @@ def test_batched_gram_and_ordering_match_rowwise(scenario12, noise_default, lead
     # A stack of pseudorange vectors must give, bit for bit, the matrices
     # built one vector at a time; likewise for the eigenvalue ranking.
     d = true_ranges(scenario12)
-    rho = d + noise_default.effective_bias + RNG.normal(0.0, 3.0, size=lead + d.shape)
+    rho = d + noise_default.bias_b + RNG.normal(0.0, 3.0, size=lead + d.shape)
     block = centered_gram(scenario12.satellites, rho)
     rows = [centered_gram(scenario12.satellites, r) for r in rho.reshape(-1, d.size)]
     assert np.array_equal(block, np.reshape(rows, block.shape))
@@ -149,7 +149,7 @@ class TestCenteredGramEigvals:
         # values plus m - 4 exact zeros. Each row's values are bit-identical
         # whether it is computed alone or in a stack.
         d = true_ranges(scenario12)
-        rho = d + noise_default.effective_bias + RNG.normal(0.0, 3.0, size=lead + d.shape)
+        rho = d + noise_default.bias_b + RNG.normal(0.0, 3.0, size=lead + d.shape)
         w = centered_gram_eigvals(scenario12.satellites, rho)
         assert w.shape == lead + (d.size + 1,)
         assert np.all(w[..., 5:] == 0.0)
@@ -197,14 +197,14 @@ class TestSpectrum:
 
     def test_spectral_reconstruction(self, scenario12, noise_default):
         d = true_ranges(scenario12)
-        G_c = centered_gram(scenario12.satellites, d + noise_default.effective_bias)
+        G_c = centered_gram(scenario12.satellites, d + noise_default.bias_b)
         s = spectrum(G_c)
         recon = (s.eigenvectors * s.eigenvalues[None, :]) @ s.eigenvectors.T
         assert np.abs(recon - G_c).max() <= 1e-6 * np.abs(G_c).max()
 
     def test_eigenpair_invariants(self, scenario12, noise_default):
         d = true_ranges(scenario12)
-        G_c = centered_gram(scenario12.satellites, d + noise_default.effective_bias)
+        G_c = centered_gram(scenario12.satellites, d + noise_default.bias_b)
         s = spectrum(G_c)
         V = s.eigenvectors
         np.testing.assert_allclose(V.T @ V, np.eye(s.n), atol=1e-9)
@@ -252,7 +252,7 @@ class TestTestStatistic:
 
     def test_permutation_invariance(self, scenario12, noise_default):
         d = true_ranges(scenario12)
-        rho = d + noise_default.effective_bias
+        rho = d + noise_default.bias_b
         base = np.sort(spectrum(centered_gram(scenario12.satellites, rho)).eigenvalues)
         perm = RNG.permutation(scenario12.m)
         permuted = type(scenario12)(

@@ -20,6 +20,7 @@ from edmdetect import (
 from edmdetect.geometry import (
     EARTH_RADIUS_M,
     _ranges,
+    config_value,
     parse_geometry,
     parse_noise,
     read_mapping,
@@ -145,10 +146,6 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(sigma_v=-1.0)
 
-    def test_effective_bias_sums_inflation(self):
-        nm = NoiseModel(sigma_v=1.0, bias_b=2.0e4, bias_inflation=5.0e4)
-        assert nm.effective_bias == 7.0e4
-
 
 class TestSamplePseudoranges:
     def test_vanishing_noise_limit(self, scenario12):
@@ -167,7 +164,7 @@ class TestSamplePseudoranges:
 
     def test_reconstruction_to_machine_precision(self, scenario12):
         d = true_ranges(scenario12)
-        nm = NoiseModel(sigma_v=3.0, bias_b=1.0e5, bias_inflation=2.0e4)
+        nm = NoiseModel(sigma_v=3.0, bias_b=1.2e5)
         s = sample_pseudoranges(d, nm, seed=9)
         np.testing.assert_allclose(s.rho - s.v - s.b_effective, d, rtol=1e-12)
 
@@ -211,12 +208,12 @@ class TestScenarioFiles:
         lines += [
             "  - [%r, %r, %r]" % tuple(map(float, s)) for s in scenario12.satellites
         ]
-        lines += ["sigma_v: 2.5", "bias_b: 5.0e4", "bias_inflation: 1.0e4"]
+        lines += ["sigma_v: 2.5", "bias_b: 6.0e4"]
         path.write_text("\n".join(lines) + "\n")
         geom, nm = load_scenario(path)
         np.testing.assert_allclose(geom.satellites, scenario12.satellites, rtol=1e-15)
         assert nm.sigma_v == 2.5
-        assert nm.effective_bias == 6.0e4
+        assert nm.bias_b == 6.0e4
 
     def test_constellation_scenario(self, tmp_path):
         path = tmp_path / "scenario.yaml"
@@ -236,11 +233,21 @@ class TestScenarioFiles:
             {"receiver": [0, 0, 0], "satellites": [[1, 1, 1]], "constellation": {}},
             {"constellation": {"bogus_key": 1}},
             [1, 2, 3],
+            {"seed": -1},
+            {"seed": 1.5},
+            {"constellation": {"n_sats": 12.5}},
         ],
     )
     def test_invalid_scenario_mappings(self, doc):
         with pytest.raises(ConfigError):
             parse_geometry(doc)
+
+    @pytest.mark.parametrize("text", ["1.0e5", "1.0e+5", "100000"])
+    def test_integral_config_values_convert_exactly(self, tmp_path, text):
+        # YAML 1.1 reads 1.0e5 as a string and 1.0e+5 as a float.
+        path = tmp_path / "cfg.yaml"
+        path.write_text(f"trials: {text}\n")
+        assert config_value(read_mapping(path), "trials", int) == 100_000
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):

@@ -67,7 +67,7 @@ def gaussian_dist(mu, sigma):
     return StatisticDistribution(
         mu_num=0.0, sigma_num=0.0, sigma_num_independent=0.0,
         mu_den=1.0, sigma_den=0.0, mu_q=mu, sigma_q=sigma,
-        covariance_num_den=0.0, validity_warnings=(), ordering="magnitude",
+        covariance_num_den=0.0, validity_warnings=(),
     )
 
 
@@ -154,8 +154,6 @@ class TestRunTrials:
     def test_rejects_bad_ordering_and_seed(self, small_scenario):
         nm = NoiseModel(3.0, 1e5)
         with pytest.raises(ValueError):
-            run_trials(small_scenario, nm, 2, 1, ordering="bogus")
-        with pytest.raises(ValueError):
             run_trials(small_scenario, nm, 2, -1)
 
     def test_zero_leading_eigenvalue_aborts_with_trial_index(
@@ -177,7 +175,7 @@ class TestRunTrials:
 
     def test_alt_ordering_statistic_recorded(self, small_scenario):
         nm = NoiseModel(sigma_v=3.0, bias_b=1.0e5)
-        batch = run_trials(small_scenario, nm, 8, 3, ordering="magnitude")
+        batch = run_trials(small_scenario, nm, 8, 3)
         assert batch.q_alt.shape == (8,)
         # Under the algebraic ordering position 5 sits in the zero cluster,
         # so the two statistics differ only through the small fifth value.
@@ -471,10 +469,8 @@ def test_trial_block_matches_plain_pipeline(small_scenario):
     nm = NoiseModel(sigma_v=3.0, bias_b=1.0e5)
     d = true_ranges(small_scenario)
     key = noise_key(21)
-    q, lams, _ = _trial_block(
-        small_scenario.satellites, d, nm.sigma_v, nm.effective_bias, key, 0, 5, "magnitude"
-    )
-    b = nm.effective_bias
+    q, lams, _ = _trial_block(small_scenario.satellites, d, nm.sigma_v, nm.bias_b, key, 0, 5)
+    b = nm.bias_b
     for t in range(5):
         v = block_noise(key, 0, t + 1, small_scenario.m, nm.sigma_v)[t]
         sample = PseudorangeSample(rho=d + b + v, d_true=d, b_effective=b, v=v)
@@ -503,9 +499,8 @@ def test_trial_kernel_matches_extended_precision_oracle(request, scenario, k):
     nm = NoiseModel(sigma_v=3.0, bias_b=1.0e5)
     d = true_ranges(g)
     key = noise_key(7)
-    q, lams, _ = _trial_block(g.satellites, d, nm.sigma_v, nm.effective_bias, key, 0, k,
-                              "magnitude")
-    rho = d + nm.effective_bias + block_noise(key, 0, k, g.m, nm.sigma_v)
+    q, lams, q_alt = _trial_block(g.satellites, d, nm.sigma_v, nm.bias_b, key, 0, k)
+    rho = d + nm.bias_b + block_noise(key, 0, k, g.m, nm.sigma_v)
     with mpmath.workdps(40):
         for t in range(k):
             ref = dense_mp_eigenvalues(g.satellites, rho[t])[:5]
@@ -513,15 +508,16 @@ def test_trial_kernel_matches_extended_precision_oracle(request, scenario, k):
             assert abs(float(q[t]) - q_ref) <= 1e-13 * abs(q_ref), t
             for i in range(5):
                 assert abs(float(lams[t, i]) - ref[i]) <= 1e-9 * abs(ref[i]), (t, i)
-    # Under algebraic ranking position 5 is the zero cluster, exactly.
-    _, lams_alg, _ = _trial_block(g.satellites, d, nm.sigma_v, nm.effective_bias, key, 0, k,
-                                  "algebraic")
-    assert np.all(lams_alg[:, 4] == 0.0)
+    # Under algebraic ranking position 5 is the zero cluster, exactly, and
+    # positions 1-4 are the magnitude ones: q_alt is lambda4 / (2 lambda1).
+    assert np.array_equal(q_alt, lams[:, 3] / (2.0 * lams[:, 0]))
 
 
 @pytest.mark.parametrize("scenario", ["small_scenario", "scenario12", "scenario30",
                                       "coplanar_scenario"])
-@pytest.mark.parametrize("ordering", ["magnitude", "algebraic"])
+# The oracle ranks by magnitude, the ranking of q; the dense reference is
+# ranked the same way.
+@pytest.mark.parametrize("ordering", ["magnitude"])
 def test_mp_centering_matches_literal_projection(request, scenario, ordering):
     # The audit's rank-5 oracle against the dense reference, the literal
     # -J D J / 2 and its full eigsy. Tolerances, fixed in advance:
@@ -535,8 +531,8 @@ def test_mp_centering_matches_literal_projection(request, scenario, ordering):
     #   cluster within 1e-35 of the largest |eigenvalue|.
     g = request.getfixturevalue(scenario)
     nm = NoiseModel(sigma_v=3.0, bias_b=1.0e5)
-    rho = true_ranges(g) + nm.effective_bias + block_noise(noise_key(3), 0, 1, g.m, 3.0)[0]
-    got = _rank5_oracle(g.satellites, ordering)([Decimal(float(x)) for x in rho])
+    rho = true_ranges(g) + nm.bias_b + block_noise(noise_key(3), 0, 1, g.m, 3.0)[0]
+    got = _rank5_oracle(g.satellites)([Decimal(float(x)) for x in rho])
     assert len(got) == g.m + 1
     ref = dense_mp_eigenvalues(g.satellites, rho, ordering)
     ref60 = dense_mp_eigenvalues(g.satellites, rho, ordering, dps=60)
@@ -557,7 +553,7 @@ def test_mp_centering_matches_literal_projection(request, scenario, ordering):
 def test_rank5_oracle_pins_its_own_precision(scenario12):
     # The oracle enters its 40-digit context itself, so the caller's decimal
     # context (28 digits by default) cannot lower its precision silently.
-    eigenvalues = _rank5_oracle(scenario12.satellites, "magnitude")
+    eigenvalues = _rank5_oracle(scenario12.satellites)
     rho = [Decimal(float(x)) for x in true_ranges(scenario12) + 1.0e5]
     with localcontext(Context(prec=40)):
         expected = eigenvalues(rho)
@@ -572,7 +568,7 @@ def test_rank5_oracle_refuses_a_vanishing_basis_column():
     sats = generate_constellation(6, 10.0, seed=2).satellites.copy()
     sats[:, 0] = 0.0
     with pytest.raises(SpectrumError, match="column 0"):
-        _rank5_oracle(sats, "magnitude")
+        _rank5_oracle(sats)
 
 
 def _jacobi_against_eigsy(A):

@@ -338,15 +338,10 @@ class TestPredictQDistribution:
         with pytest.raises(DegenerateEigenvalueError, match="bias"):
             predict_q_distribution(scenario12, NoiseModel(sigma_v=3.0, bias_b=0.0))
 
-    def test_inflation_rescues_zero_bias(self, scenario12):
-        nm = NoiseModel(sigma_v=3.0, bias_b=0.0, bias_inflation=1.0e5)
-        dist = predict_q_distribution(scenario12, nm)
-        assert dist.sigma_q > 0
-
     def test_default_scenario_has_no_warnings(self, scenario12, noise_default):
         dist = predict_q_distribution(scenario12, noise_default)
         assert dist.validity_warnings == ()
-        assert dist.ordering == ORDERING_MAGNITUDE
+        assert dist.to_json_dict()["ordering"] == ORDERING_MAGNITUDE
 
     def test_matches_monte_carlo_10k(self, scenario12, noise_default, mc100k):
         dist = predict_q_distribution(scenario12, noise_default)
@@ -358,7 +353,7 @@ class TestPredictQDistribution:
         from edmdetect import run_trials
 
         base = predict_q_distribution(scenario12, NoiseModel(3.0, 1.0e5))
-        nm2 = NoiseModel(sigma_v=3.0, bias_b=1.0e5, bias_inflation=1.0e5)
+        nm2 = NoiseModel(sigma_v=3.0, bias_b=2.0e5)
         dist2 = predict_q_distribution(scenario12, nm2)
         assert dist2.mu_q != pytest.approx(base.mu_q, rel=1e-3)
         qs = run_trials(scenario12, nm2, 3000, 7).q
@@ -395,7 +390,7 @@ class TestDetectionThreshold:
         return StatisticDistribution(
             mu_num=0.0, sigma_num=0.0, sigma_num_independent=0.0,
             mu_den=1.0, sigma_den=0.0, mu_q=mu, sigma_q=sigma,
-            covariance_num_den=0.0, validity_warnings=(), ordering=ORDERING_MAGNITUDE,
+            covariance_num_den=0.0, validity_warnings=(),
         )
 
     def test_one_sigma_identity(self):
