@@ -46,6 +46,9 @@ _CORRELATION_LABELS = ("lambda1", "lambda4", "lambda5", "lambda4+lambda5")
 
 _SQRT2 = math.sqrt(2.0)
 
+# math.erfc applied elementwise; returns an object array.
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
+
 
 @dataclass(frozen=True)
 class TrialBatch:
@@ -218,7 +221,7 @@ def _ks_statistic(sample: np.ndarray, mu: float, sigma: float) -> float:
     """
     x = np.sort(sample)
     n = x.shape[0]
-    F = np.array([0.5 * math.erfc(-z / _SQRT2) for z in ((x - mu) / sigma).tolist()])
+    F = 0.5 * _ERFC(-((x - mu) / sigma) / _SQRT2).astype(float)
     i = np.arange(1, n + 1)
     return float(max((i / n - F).max(), (F - (i - 1) / n).max()))
 
@@ -517,13 +520,13 @@ def _write_csv(
     path: str | Path,
     provenance: Mapping[str, object] | None,
     header: str,
-    rows: Iterable[str],
+    rows: Iterable[bytes],
 ) -> None:
     """Comment lines end in \n; the header and rows in \r\n, the csv module's default."""
-    with Path(path).open("w", newline="") as fh:
+    with Path(path).open("wb") as fh:
         for line in _provenance_lines(provenance):
-            fh.write(line + "\n")
-        fh.write(header + "\r\n")
+            fh.write(line.encode() + b"\n")
+        fh.write(header.encode() + b"\r\n")
         fh.writelines(rows)
 
 
@@ -534,22 +537,40 @@ def write_trials_csv(
 ) -> None:
     """Columns: trial, q, lambda1..lambda5, exceeded (empty if no threshold).
 
-    Floats are written with repr, so every value round-trips exactly. Rows
-    are formatted one block of trials at a time, so memory stays flat in
-    the run length.
+    Floats are formatted exactly as ``repr`` formats them, so every value
+    round-trips. Each block of trials becomes one uint8 matrix, a row per
+    trial, whose masked bytes are the block's lines (see _floatfmt); memory
+    stays flat in the run length.
     """
-    if batch.exceeded is None:
-        fmt = "%d,%r,%r,%r,%r,%r,%r,\r\n"
-    else:
-        fmt = "%d,%r,%r,%r,%r,%r,%r,%d\r\n"
+    # Only this writer needs the formatter; importing it here keeps its
+    # compile and import out of the commands that write no trials.csv.
+    from . import _floatfmt
+
+    n_float = 1 + batch.lambdas.shape[1]
+    # Per row: trial, then ",value" for each float, then ",exceeded\r\n".
+    tail = np.frombuffer(b",0\r\n", np.uint8)
+    tail_valid = np.array([True, batch.exceeded is not None, True, True])
 
     def rows():
         for start in range(0, len(batch), _BLOCK):
             sl = slice(start, min(start + _BLOCK, len(batch)))
-            cols = [range(sl.start, sl.stop), batch.q[sl].tolist(), *batch.lambdas[sl].T.tolist()]
+            n = sl.stop - sl.start
+            trial, trial_valid = _floatfmt.uint_cells(np.arange(sl.start, sl.stop))
+            cells, cells_valid = _floatfmt.repr_cells(
+                np.column_stack([batch.q[sl], batch.lambdas[sl]])
+            )
+            fields = np.full((n, n_float, 1 + _floatfmt.FLOAT_WIDTH), ord(","), np.uint8)
+            fields[:, :, 1:] = cells.reshape(n, n_float, -1)
+            fields_valid = np.ones(fields.shape, bool)
+            fields_valid[:, :, 1:] = cells_valid.reshape(n, n_float, -1)
+            ends = np.tile(tail, (n, 1))
             if batch.exceeded is not None:
-                cols.append(batch.exceeded[sl].tolist())
-            yield "".join([fmt % row for row in zip(*cols)])
+                ends[:, 1] += batch.exceeded[sl]  # "0" becomes "1"
+            M = np.concatenate([trial, fields.reshape(n, -1), ends], axis=1)
+            K = np.concatenate(
+                [trial_valid, fields_valid.reshape(n, -1), np.tile(tail_valid, (n, 1))], axis=1
+            )
+            yield np.compress(K.ravel(), M.ravel()).tobytes()  # M[K], in a third of the time
 
     _write_csv(
         path, provenance, "trial,q,lambda1,lambda2,lambda3,lambda4,lambda5,exceeded", rows()
@@ -589,5 +610,5 @@ def write_histogram_csv(
     cols = (edges[:-1].tolist(), edges[1:].tolist(), summary.hist_counts.tolist(), density.tolist())
     _write_csv(
         path, provenance, "bin_left,bin_right,count,predicted_density",
-        ("%r,%r,%d,%r\r\n" % row for row in zip(*cols)),
+        (("%r,%r,%d,%r\r\n" % row).encode() for row in zip(*cols)),
     )

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import edmdetect
+from edmdetect import _floatfmt
 from edmdetect import (
     DegenerateEigenvalueError,
     NoiseModel,
@@ -410,3 +411,15 @@ class TestReadmeMatchesCli:
         (example,) = re.findall(r"```yaml\n(.*?)```", self.text, flags=re.S)
         keys = re.findall(r"^(?:# )?(\w+):", example, flags=re.M)
         assert sorted(keys) == sorted({*GEOMETRY_KEYS, *NOISE_KEYS, *_RUN_KEYS})
+
+
+class TestLazyFormatTables:
+    def test_predict_and_audit_leave_the_format_tables_unbuilt(self, tmp_path):
+        # The trials.csv formatter's tables are built on first use, so the
+        # commands that write no trials never pay for them.
+        _floatfmt._tables.cache_clear()
+        assert main(["predict", "--out", str(tmp_path)]) == EXIT_OK
+        assert main(["audit", "--out", str(tmp_path)]) == EXIT_OK
+        assert _floatfmt._tables.cache_info().currsize == 0
+        assert main(["simulate", "--trials", "2048", "--out", str(tmp_path)]) == EXIT_OK
+        assert _floatfmt._tables.cache_info().currsize == 1

@@ -396,6 +396,20 @@ class TestWriters:
         for name in ("trials.csv", "trials_no_exceeded.csv", "summary.json", "histogram.csv"):
             assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
 
+    @staticmethod
+    def one_shot_trials_csv(q, lams, exceeded):
+        """The file one %-format pass over the whole batch writes."""
+        n = len(q)
+        flags = exceeded.astype(int).tolist() if exceeded is not None else [""] * n
+        return (
+            f"# trials={n}\n"
+            "trial,q,lambda1,lambda2,lambda3,lambda4,lambda5,exceeded\r\n"
+            + "".join(
+                "%d,%r,%r,%r,%r,%r,%r,%s\r\n" % row
+                for row in zip(range(n), q.tolist(), *lams.T.tolist(), flags)
+            )
+        ).encode()
+
     @pytest.mark.parametrize("n", [1023, 1024, 1025, 2500])
     @pytest.mark.parametrize("with_exceeded", [True, False])
     def test_trials_csv_blocks_match_one_shot_format(self, tmp_path, n, with_exceeded):
@@ -408,16 +422,28 @@ class TestWriters:
         path = tmp_path / "trials.csv"
         write_trials_csv(TrialBatch(q=q, lambdas=lams, exceeded=exceeded, q_alt=q), path,
                          {"trials": n})
-        flags = exceeded.astype(int).tolist() if with_exceeded else [""] * n
-        expected = (
-            f"# trials={n}\n"
-            "trial,q,lambda1,lambda2,lambda3,lambda4,lambda5,exceeded\r\n"
-            + "".join(
-                "%d,%r,%r,%r,%r,%r,%r,%s\r\n" % row
-                for row in zip(range(n), q.tolist(), *lams.T.tolist(), flags)
-            )
-        )
-        assert path.read_bytes() == expected.encode()
+        assert path.read_bytes() == self.one_shot_trials_csv(q, lams, exceeded)
+
+    @pytest.mark.parametrize("with_exceeded", [True, False])
+    def test_trials_csv_edge_values_match_one_shot_format(self, tmp_path, with_exceeded):
+        # Zeros, subnormals, non-finite values and both sides of repr's
+        # positional/exponent switch, in every column and around the block
+        # boundary at row 1024.
+        edges = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 9999999999999998.0, 1e16,
+                 1e-05, 0.0001, float("inf"), float("nan")]
+        edges += [-v for v in edges]
+        n = 1030
+        rng = np.random.default_rng(11)
+        cells = np.column_stack([rng.normal(0.5, 0.05, n), rng.normal(size=(n, 5)) * 1e12])
+        for i, v in enumerate(edges):
+            cells[i, i % 6] = v
+            cells[1020 + i % 8, (i + 3) % 6] = v
+        q, lams = cells[:, 0].copy(), cells[:, 1:].copy()
+        exceeded = q > 0.55 if with_exceeded else None
+        path = tmp_path / "trials.csv"
+        write_trials_csv(TrialBatch(q=q, lambdas=lams, exceeded=exceeded, q_alt=q), path,
+                         {"trials": n})
+        assert path.read_bytes() == self.one_shot_trials_csv(q, lams, exceeded)
 
     def test_trials_csv_columns(self, tmp_path):
         batch, _ = self.make_summary()
