@@ -203,15 +203,22 @@ def _digit_chars(v: np.ndarray, lut4: np.ndarray, pow10: np.ndarray) -> np.ndarr
     return lut4[np.stack(chunks, axis=1).astype(np.intp)].view(np.uint8)
 
 
-def repr_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``repr`` of each float64 in ``x`` as the masked rows of a uint8 matrix.
+def repr_cells(
+    x: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``repr`` of each float64 in ``x`` as the masked cells of a uint8 array.
 
-    Returns (chars, valid), both (N, FLOAT_WIDTH): ``chars[i][valid[i]]`` is
-    ``repr(float(x[i])).encode()``.
+    Returns (chars, valid), both of shape x.shape + (FLOAT_WIDTH,):
+    ``chars[i][valid[i]]`` is ``repr(float(x[i])).encode()``. They are
+    written into ``out`` when given, which may be views into a larger
+    matrix, such as a column of a CSV block.
     """
     tab = _tables()
+    shape = np.shape(x)
     x = np.ascontiguousarray(x, np.float64).ravel()
-    n = x.shape[0]
+    if out is None:
+        out = (np.empty(shape + (FLOAT_WIDTH,), np.uint8), np.empty(shape + (FLOAT_WIDTH,), bool))
+    chars, valid = out
     bq = (x.view(np.uint64) >> 52) & np.uint64(_EXP_MASK)
     special = np.flatnonzero((bq == 0) | (bq == _EXP_MASK))
     y = x
@@ -231,24 +238,34 @@ def repr_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         decpt - _DECPT_MIN,
         _N_POS + 2 * (exp < 0) + (np.abs(exp) >= 100),
     )
-    chars = np.tile(np.frombuffer(_CELL, np.uint8), (n, 1))
-    chars[:, _DIG : _E : 2] = dchars
-    chars[:, _EXPDIG:] = tab["lut4"][np.abs(exp)].view(np.uint8).reshape(n, 4)[:, 1:]
-    valid = tab["masks"][((y < 0) * 17 + nd - 1) * _N_FORMS + form]
+    chars[...] = np.frombuffer(_CELL, np.uint8)
+    chars[..., _DIG : _E : 2] = dchars.reshape(shape + (17,))
+    chars[..., _EXPDIG:] = tab["lut4"][np.abs(exp)].view(np.uint8).reshape(shape + (4,))[..., 1:]
+    # Every class index is in range; "clip" only spares take a buffer for out.
+    cls = ((y < 0) * 17 + nd - 1) * _N_FORMS + form
+    np.take(tab["masks"], cls.reshape(shape), axis=0, out=valid, mode="clip")
     for i in special.tolist():
+        at = np.unravel_index(i, shape)
         r = repr(float(x[i])).encode()
-        chars[i, : len(r)] = np.frombuffer(r, np.uint8)
-        valid[i] = np.arange(FLOAT_WIDTH) < len(r)
+        chars[at][: len(r)] = np.frombuffer(r, np.uint8)
+        valid[at] = np.arange(FLOAT_WIDTH) < len(r)
     return chars, valid
 
 
-def uint_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def uint_cells(
+    v: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """``%d`` of each non-negative integer in ``v``: (chars, valid), (N, UINT_WIDTH).
 
     The digits are right-aligned; ``chars[i][valid[i]]`` is ``b"%d" % v[i]``.
+    They are written into ``out`` when given, as in repr_cells.
     """
     tab = _tables()
     v = np.asarray(v).astype(np.uint64).ravel()
+    if out is None:
+        out = (np.empty((v.size, UINT_WIDTH), np.uint8), np.empty((v.size, UINT_WIDTH), bool))
+    chars, valid = out
     nd = np.searchsorted(tab["pow10"][1:], v, side="right") + 1
-    valid = np.arange(UINT_WIDTH) >= UINT_WIDTH - nd[:, None]
-    return _digit_chars(v, tab["lut4"], tab["pow10"]), valid
+    np.greater_equal(np.arange(UINT_WIDTH), UINT_WIDTH - nd[:, None], out=valid)
+    chars[...] = _digit_chars(v, tab["lut4"], tab["pow10"])
+    return chars, valid

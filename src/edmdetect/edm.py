@@ -7,7 +7,9 @@ fault) activates two additional eigenvalues, and the test statistic
 
     q = (lambda_4 + lambda_5) / (2 * lambda_1)
 
-measures their size relative to the dominant one. All functions are pure.
+measures their size relative to the dominant one. All functions are pure,
+except that rank5_eigvals, the trial kernel's per-block step, writes into
+the workspace it is given.
 """
 
 from __future__ import annotations
@@ -168,6 +170,151 @@ def centered_gram(satellites: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return gram_centered(augment_edm(D, rho))
 
 
+class Rank5Factors:
+    """The geometry's half of the rank-5 kernel, built once per scenario.
+
+    With the receiver slot at the origin, P = [0; S] and J the centering
+    projector, ``basis`` (4, m+1) holds the rows of an orthonormal basis Q0
+    of [A, u] (A = J P, u = J e0), ``M0`` (4, 4) is B B^T with B = Q0^T A,
+    ``ut`` (4,) is Q0^T u and ``sq`` (m,) the squared norms |s_j|^2 of the
+    satellite positions (m, 3).
+    """
+
+    def __init__(self, satellites: np.ndarray):
+        S = np.asarray(satellites, dtype=float)
+        if not np.all(np.isfinite(S)):
+            raise ValueError("positions must be finite")
+        self.m = S.shape[0]
+        n = self.m + 1
+        P = np.vstack([np.zeros(3), S])
+        A = P - P.mean(axis=0)
+        u = np.full(n, -1.0 / n)
+        u[0] += 1.0
+        # Householder QR: Q0 is orthonormal even if A is rank-deficient.
+        Q0, _ = np.linalg.qr(np.column_stack([A, u]))
+        B = Q0.T @ A
+        self.basis = np.ascontiguousarray(Q0.T)
+        self.M0 = B @ B.T
+        self.ut = Q0.T @ u
+        self.sq = np.einsum("ij,ij->i", S, S)
+
+
+class Rank5Workspace:
+    """Feature-major buffers for rank5_eigvals blocks of up to ``k`` trials.
+
+    Row i of an (m+1, k) buffer holds feature i of every trial in the block,
+    so each step of the kernel is a few numpy calls on k-long rows. One
+    workspace serves every block of a run: fresh arrays of this size per
+    block are returned to the system when freed and page-faulted back in.
+    """
+
+    def __init__(self, m: int, k: int):
+        n = m + 1
+        self.rho = np.empty((m, k))
+        self.w = np.empty((n, k))
+        self.r = np.empty((n, k))
+        self.prod = np.empty((4, n, k))
+        self.a = np.empty((4, k))
+        self.half_beta = np.empty(k)
+        self.acc = np.empty((4, 8, k))
+        self.pair = np.empty((4, 4, k))
+        self.H = np.zeros((5, 5, k))
+        # The five Ritz values and one of the m - 4 exact zeros: enough to rank.
+        self.eig = np.zeros((k, 6))
+
+
+# numpy adds a contiguous run of doubles pairwise (pairwise_sum in its
+# loops_utils.h): fewer than 8 values one by one; up to _PW_BLOCK in eight
+# interleaved accumulators, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+# then the rest one by one; longer runs as two halves split at a multiple
+# of 8. A reduction starts from +0.0.
+_PW_BLOCK = 128
+
+
+def _row_sum(x: np.ndarray, out: np.ndarray, acc: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """Sum x (..., n, k) over its rows into out (..., k) in numpy's order.
+
+    Equals ``np.swapaxes(x, -1, -2).sum(axis=-1)`` bit for bit: a trial's
+    sum comes out as if its n features were contiguous, whatever the
+    layout, which is what keeps the feature-major kernel on the bits of the
+    trial-major one. ``acc`` (..., 8, k) and ``pair`` (..., 4, k) are
+    scratch.
+    """
+    n = x.shape[-2]
+    if n > _PW_BLOCK:
+        half = n // 2
+        half -= half % 8
+        _row_sum(x[..., :half, :], out, acc, pair)
+        out += _row_sum(x[..., half:, :], np.empty_like(out), acc, pair)
+        return out
+    if n < 8:
+        out.fill(0.0)
+        stop = 0
+    else:
+        stop = n - n % 8
+        r = x[..., :8, :]  # the eight accumulators
+        if stop > 8:
+            r = np.add(r, x[..., 8:16, :], out=acc)
+            for i in range(16, stop, 8):
+                r += x[..., i : i + 8, :]
+        np.add(r[..., 0::2, :], r[..., 1::2, :], out=pair)
+        np.add(pair[..., 0::2, :], pair[..., 1::2, :], out=acc[..., :2, :])
+        np.add(acc[..., 0, :], acc[..., 1, :], out=out)
+        out += 0.0  # the starting value: a -0.0 becomes +0.0, as in numpy
+    for i in range(stop, n):
+        out += x[..., i, :]
+    return out
+
+
+def rank5_eigvals(f: Rank5Factors, rho: np.ndarray, ws: Rank5Workspace) -> np.ndarray:
+    """Non-zero eigenvalues of the centered Gram matrices of k trials.
+
+    ``rho`` (m, k) holds one pseudorange vector per column. Writes w, its
+    coordinates a on the basis, the rest r, the 5x5 matrices H and their
+    eigenvalues into ``ws`` and returns ``ws.eig[:k]`` (k, 6): the five
+    eigenvalues, unordered, then an exact zero. See centered_gram_eigvals
+    for the algebra.
+    """
+    rho = _check_pseudoranges(rho.T, f.m).T
+    k = rho.shape[1]
+    n = f.m + 1
+    w, r, a, hb = ws.w[:, :k], ws.r[:, :k], ws.a[:, :k], ws.half_beta[:k]
+    prod, acc, pair = ws.prod[..., :k], ws.acc[..., :k], ws.pair[..., :k]
+    # w = [-mean; v - mean], v_j = |s_j|^2 - rho_j^2.
+    v, mean = w[1:], w[0]
+    np.multiply(rho, rho, out=v)
+    np.subtract(f.sq[:, None], v, out=v)
+    _row_sum(v, mean, acc[0], pair[0])
+    mean /= n
+    v -= mean
+    np.negative(mean, out=mean)
+    np.multiply(f.basis[:, :, None], w, out=prod)
+    _row_sum(prod, a, acc, pair)
+    # r = w - a_1 q_1 - ... - a_4 q_4, subtracted in that order.
+    np.multiply(a[:, None, :], f.basis[:, :, None], out=prod)
+    np.subtract(w, prod[0], out=r)
+    for p in prod[1:]:
+        r -= p
+    np.multiply(r, r, out=prod[0])
+    _row_sum(prod[0], hb, acc[0], pair[0])
+    np.sqrt(hb, out=hb)
+    hb *= 0.5
+    # H = [[M0 + (ut a^T + a ut^T) / 2, beta/2 ut], [beta/2 ut^T, 0]], one
+    # (5, 5) matrix per column.
+    H = ws.H[..., :k]
+    top = H[:4, :4]
+    np.multiply(f.ut[:, None, None], a, out=top)
+    np.multiply(a[:, None, :], f.ut[None, :, None], out=prod[:, :4])
+    top += prod[:, :4]
+    top *= 0.5
+    top += f.M0[:, :, None]
+    np.multiply(f.ut[:, None], hb, out=H[4, :4])
+    H[:4, 4] = H[4, :4]
+    eig = ws.eig[:k]
+    eig[:, :5] = np.linalg.eigvalsh(H.transpose(2, 0, 1))
+    return eig
+
+
 def centered_gram_eigvals(satellites: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Eigenvalues (..., m+1) of centered_gram(satellites, rho), unordered.
 
@@ -182,41 +329,21 @@ def centered_gram_eigvals(satellites: np.ndarray, rho: np.ndarray) -> np.ndarray
     the geometry; each pseudorange vector adds one direction, the part of w
     outside Q0. G_c restricted to those five directions is a 5x5 matrix H
     whose eigenvalues are the non-zero ones of G_c (Rayleigh-Ritz, exact
-    here); the other m - 4 are exact zeros. Each row costs O(m) plus a 5x5
-    eigensolve, and every per-row reduction is elementwise, so a row's
-    values do not depend on how many rows are stacked with it.
+    here); the other m - 4 are exact zeros.
+
+    The work splits in two: Rank5Factors holds the geometry's factors
+    once, and rank5_eigvals runs a block of pseudorange vectors through
+    them feature-major, in a Rank5Workspace. Each row costs O(m) plus a 5x5
+    eigensolve. Every per-row reduction is elementwise across rows and sums
+    in numpy's pairwise order (_row_sum), so a row's values are bit for bit
+    those of the same row alone, or laid out row-major.
     """
-    S = np.asarray(satellites, dtype=float)
-    if not np.all(np.isfinite(S)):
-        raise ValueError("positions must be finite")
-    m = S.shape[0]
-    rho = _check_pseudoranges(rho, m)
-    n = m + 1
-    P = np.vstack([np.zeros(3), S])
-    A = P - P.mean(axis=0)
-    u = np.full(n, -1.0 / n)
-    u[0] += 1.0
-    # Householder QR: Q0 is orthonormal even if A is rank-deficient.
-    Q0, _ = np.linalg.qr(np.column_stack([A, u]))
-    B = Q0.T @ A
-    M0 = B @ B.T
-    ut = Q0.T @ u
-
-    v = np.einsum("ij,ij->i", S, S) - rho**2
-    mean = v.sum(axis=-1, keepdims=True) / n
-    w = np.concatenate([-mean, v - mean], axis=-1)
-    a = np.stack([(w * q).sum(axis=-1) for q in Q0.T], axis=-1)
-    r = w
-    for i, q in enumerate(Q0.T):
-        r = r - a[..., i, None] * q
-    half_beta = 0.5 * np.sqrt((r * r).sum(axis=-1))
-
-    H = np.zeros(rho.shape[:-1] + (5, 5))
-    H[..., :4, :4] = M0 + 0.5 * (ut[:, None] * a[..., None, :] + a[..., :, None] * ut)
-    H[..., 4, :4] = half_beta[..., None] * ut
-    H[..., :4, 4] = H[..., 4, :4]
-    out = np.zeros(rho.shape[:-1] + (n,))
-    out[..., :5] = np.linalg.eigvalsh(H)
+    f = Rank5Factors(satellites)
+    rho = _check_pseudoranges(rho, f.m)
+    rows = rho.reshape(-1, f.m)
+    out = np.zeros(rho.shape[:-1] + (f.m + 1,))
+    eig = rank5_eigvals(f, rows.T, Rank5Workspace(f.m, len(rows)))
+    out.reshape(-1, f.m + 1)[:, :5] = eig[:, :5]
     return out
 
 

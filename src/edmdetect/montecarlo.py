@@ -8,9 +8,13 @@ counter-based stream keyed on the master seed with counter b (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC'11). Trial t's noise thus
 depends only on (master_seed, t): results are bit-identical for any worker
 count, and a short run is a bit-exact prefix of a longer one. Each trial's
-spectrum comes from edm.centered_gram_eigvals, a rank-5 Rayleigh-Ritz
-kernel: O(m) work and a 5x5 eigensolve per trial instead of building and
-solving the (m+1)x(m+1) centered Gram matrix. The finite-difference audit's
+spectrum comes from the rank-5 Rayleigh-Ritz kernel of
+edm.centered_gram_eigvals: O(m) work and a 5x5 eigensolve per trial instead
+of building and solving the (m+1)x(m+1) centered Gram matrix. run_trials
+builds the geometry's factors once (edm.Rank5Factors), runs every block
+through edm.rank5_eigvals in one reused, feature-major workspace, and fills
+its preallocated result columns in place; the values are bit for bit those
+of centered_gram_eigvals. The finite-difference audit's
 reference side applies the same rank-5 reduction in 40-digit decimal
 arithmetic (the stdlib's C-backed decimal module), from the positions alone:
 one 5x5 cyclic Jacobi solve per perturbed spectrum.
@@ -18,6 +22,7 @@ one 5x5 cyclic Jacobi solve per perturbed spectrum.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -152,15 +157,32 @@ def _trial_block(
     key: np.ndarray,
     block: int,
     k: int,
+    factors: edm.Rank5Factors | None = None,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    ws: edm.Rank5Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run the first k trials of a block: returns (q, first-5 eigenvalues, q_alt).
+    """Run the first k trials of a block into out = (q, first-5 eigenvalues, q_alt).
 
     q and the eigenvalues rank by magnitude, q_alt by algebraic order.
+    ``factors`` are the kernel's edm.Rank5Factors(satellites), which
+    run_trials builds once per run; ``out`` holds the block's rows of the
+    run's columns and ``ws`` the kernel's buffers. Each is made here when
+    not given.
     """
-    rho = d + bias_b + block_noise(key, block, k, d.shape[0], sigma_v)
-    # Columns 5.. are exact zeros, so ranking the five Ritz values with one of
-    # them gives the same first five values as ranking all m + 1.
-    w = edm.centered_gram_eigvals(satellites, rho)[:, :6]
+    m = d.shape[0]
+    if factors is None:
+        factors = edm.Rank5Factors(satellites)
+    if ws is None:
+        ws = edm.Rank5Workspace(m, k)
+    if out is None:
+        out = (np.empty(k), np.empty((k, 5)), np.empty(k))
+    q, lambdas, q_alt = out
+    rho = ws.rho[:, :k]
+    np.add((d + bias_b)[:, None], block_noise(key, block, k, m, sigma_v).T, out=rho)
+    # Columns 5.. of the spectrum are exact zeros, so ranking the five Ritz
+    # values with one of them gives the same first five values as ranking
+    # all m + 1.
+    w = edm.rank5_eigvals(factors, rho, ws)
     w_main, w_alt = (
         np.take_along_axis(w, edm._order_indices(w, order), axis=-1)
         for order in (edm.ORDERING_MAGNITUDE, edm.ORDERING_ALGEBRAIC)
@@ -171,9 +193,10 @@ def _trial_block(
         raise SpectrumError(
             f"trial {block * _BLOCK + int(bad[0])}: leading eigenvalue is zero (degenerate geometry)"
         )
-    q = (w_main[:, 3] + w_main[:, 4]) / (2.0 * lam1)
-    q_alt = (w_alt[:, 3] + w_alt[:, 4]) / (2.0 * w_alt[:, 0])
-    return q, w_main[:, :5], q_alt
+    np.divide(w_main[:, 3] + w_main[:, 4], 2.0 * lam1, out=q)
+    lambdas[...] = w_main[:, :5]
+    np.divide(w_alt[:, 3] + w_alt[:, 4], 2.0 * w_alt[:, 0], out=q_alt)
+    return out
 
 
 def run_trials(
@@ -189,7 +212,9 @@ def run_trials(
     ``threshold`` may be a scalar (one-sided upper) or a (lo, hi) pair; when
     given, the batch carries an exceedance flag per trial. ``workers`` > 1
     fans the fixed-size trial blocks out to a process pool; outputs are
-    identical for any worker count.
+    identical for any worker count. The geometry's kernel factors are built
+    once; the serial path then fills the result columns block by block in
+    place, through one set of kernel buffers.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
@@ -197,19 +222,24 @@ def run_trials(
         raise ValueError("master_seed must be non-negative")
     d = geometry.true_ranges(g)
     key = noise_key(master_seed)
+    factors = edm.Rank5Factors(g.satellites)
+    q, lambdas, q_alt = np.empty(n_trials), np.empty((n_trials, 5)), np.empty(n_trials)
+    rows = [slice(start, min(start + _BLOCK, n_trials)) for start in range(0, n_trials, _BLOCK)]
     args = [
-        (g.satellites, d, nm.sigma_v, nm.bias_b, key, start // _BLOCK,
-         min(_BLOCK, n_trials - start))
-        for start in range(0, n_trials, _BLOCK)
+        (g.satellites, d, nm.sigma_v, nm.bias_b, key, block, sl.stop - sl.start)
+        for block, sl in enumerate(rows)
     ]
     if workers <= 1 or len(args) == 1:
-        blocks = [_trial_block(*a) for a in args]
+        ws = edm.Rank5Workspace(g.m, args[0][-1])
+        for a, sl in zip(args, rows):
+            _trial_block(*a, factors, out=(q[sl], lambdas[sl], q_alt[sl]), ws=ws)
     else:
         from concurrent.futures import ProcessPoolExecutor  # only worker pools need it
 
+        blocks = functools.partial(_trial_block, factors=factors)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_trial_block, *zip(*args)))
-    q, lambdas, q_alt = (np.concatenate(cols) for cols in zip(*blocks))
+            for sl, block in zip(rows, pool.map(blocks, *zip(*args))):
+                q[sl], lambdas[sl], q_alt[sl] = block
     exceeded = _exceeds(q, threshold) if threshold is not None else None
     return TrialBatch(q=q, lambdas=lambdas, exceeded=exceeded, q_alt=q_alt)
 
@@ -229,6 +259,33 @@ def _ks_statistic(sample: np.ndarray, mu: float, sigma: float) -> float:
 def ks_critical_value(alpha: float, n: int) -> float:
     """Critical KS distance at level ``alpha`` for sample size ``n``."""
     return KS_COEFF[alpha] / (np.sqrt(n) + 0.12 + 0.11 / np.sqrt(n))
+
+
+def _fd_bin_count(x: np.ndarray) -> int:
+    """The bin count of ``np.histogram_bin_edges(x, bins="fd")``, for finite x, len(x) >= 2.
+
+    The Freedman-Diaconis width is 2 IQR n^(-1/3). numpy takes the quartiles
+    from np.percentile, which goes through np.unique, whose first call
+    imports numpy.ma: about 10 ms of every simulate process. Here one
+    np.partition gives the same order statistics and numpy's "linear"
+    interpolation (a + (b - a) g, or b - (b - a)(1 - g) once g >= 1/2) the
+    same quartiles, so the count, and with it every edge, is numpy's.
+    """
+    n = x.size
+    virtual = (n - 1) * np.array([0.75, 0.25])
+    lo = np.floor(virtual).astype(np.intp)
+    gamma = virtual - lo
+    part = np.partition(x, np.concatenate([lo, lo + 1]))
+    a, b = part[lo], part[lo + 1]
+    diff = b - a
+    quartiles = np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
+    width = 2.0 * (quartiles[0] - quartiles[1]) * n ** (-1.0 / 3.0)
+    if not width:
+        return 1
+    first, last = x.min(), x.max()
+    if first == last:
+        first, last = first - 0.5, last + 0.5
+    return int(np.ceil((last - first) / width))
 
 
 def summarize(
@@ -256,7 +313,7 @@ def summarize(
     else:
         ks = _ks_statistic(qs, dist.mu_q, dist.sigma_q)
 
-    edges = np.histogram_bin_edges(qs, bins="fd")
+    edges = np.histogram_bin_edges(qs, bins=_fd_bin_count(qs))
     counts, _ = np.histogram(qs, bins=edges)
 
     if threshold is not None:
@@ -538,42 +595,43 @@ def write_trials_csv(
     """Columns: trial, q, lambda1..lambda5, exceeded (empty if no threshold).
 
     Floats are formatted exactly as ``repr`` formats them, so every value
-    round-trips. Each block of trials becomes one uint8 matrix, a row per
-    trial, whose masked bytes are the block's lines (see _floatfmt); memory
-    stays flat in the run length.
+    round-trips. Each block of trials is laid out as the rows of one uint8
+    matrix, allocated once per file with its validity mask: the trial cell,
+    then "," and a float cell per value, then ",flag\r\n". The formatters
+    write straight into the cell columns (see _floatfmt), the masked bytes
+    are the block's lines, and memory stays flat in the run length.
     """
     # Only this writer needs the formatter; importing it here keeps its
     # compile and import out of the commands that write no trials.csv.
     from . import _floatfmt
 
+    n_rows = len(batch)
     n_float = 1 + batch.lambdas.shape[1]
-    # Per row: trial, then ",value" for each float, then ",exceeded\r\n".
-    tail = np.frombuffer(b",0\r\n", np.uint8)
-    tail_valid = np.array([True, batch.exceeded is not None, True, True])
+    rows = min(_BLOCK, n_rows)
+    U, F = _floatfmt.UINT_WIDTH, 1 + _floatfmt.FLOAT_WIDTH
+    M = np.empty((rows, U + n_float * F + 4), np.uint8)
+    K = np.ones(M.shape, bool)
+    fields, fields_valid = (A[:, U : U + n_float * F].reshape(rows, n_float, F) for A in (M, K))
+    fields[:, :, 0] = ord(",")
+    M[:, -4:] = np.frombuffer(b",0\r\n", np.uint8)
+    K[:, -3] = batch.exceeded is not None
 
-    def rows():
-        for start in range(0, len(batch), _BLOCK):
-            sl = slice(start, min(start + _BLOCK, len(batch)))
+    def blocks():
+        for start in range(0, n_rows, _BLOCK):
+            sl = slice(start, min(start + _BLOCK, n_rows))
             n = sl.stop - sl.start
-            trial, trial_valid = _floatfmt.uint_cells(np.arange(sl.start, sl.stop))
-            cells, cells_valid = _floatfmt.repr_cells(
-                np.column_stack([batch.q[sl], batch.lambdas[sl]])
+            _floatfmt.uint_cells(np.arange(sl.start, sl.stop), out=(M[:n, :U], K[:n, :U]))
+            _floatfmt.repr_cells(
+                np.column_stack([batch.q[sl], batch.lambdas[sl]]),
+                out=(fields[:n, :, 1:], fields_valid[:n, :, 1:]),
             )
-            fields = np.full((n, n_float, 1 + _floatfmt.FLOAT_WIDTH), ord(","), np.uint8)
-            fields[:, :, 1:] = cells.reshape(n, n_float, -1)
-            fields_valid = np.ones(fields.shape, bool)
-            fields_valid[:, :, 1:] = cells_valid.reshape(n, n_float, -1)
-            ends = np.tile(tail, (n, 1))
             if batch.exceeded is not None:
-                ends[:, 1] += batch.exceeded[sl]  # "0" becomes "1"
-            M = np.concatenate([trial, fields.reshape(n, -1), ends], axis=1)
-            K = np.concatenate(
-                [trial_valid, fields_valid.reshape(n, -1), np.tile(tail_valid, (n, 1))], axis=1
-            )
-            yield np.compress(K.ravel(), M.ravel()).tobytes()  # M[K], in a third of the time
+                M[:n, -3] = ord("0") + batch.exceeded[sl]
+            # The bytes of M[K], in a third of the time.
+            yield np.compress(K[:n].ravel(), M[:n].ravel()).tobytes()
 
     _write_csv(
-        path, provenance, "trial,q,lambda1,lambda2,lambda3,lambda4,lambda5,exceeded", rows()
+        path, provenance, "trial,q,lambda1,lambda2,lambda3,lambda4,lambda5,exceeded", blocks()
     )
 
 

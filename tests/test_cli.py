@@ -394,6 +394,27 @@ print(json.dumps(seen))
         assert seen["config"] == ["yaml"]
 
 
+def test_simulate_does_not_import_numpy_ma(tmp_path):
+    # The histogram's Freedman-Diaconis bins come without np.percentile,
+    # whose np.unique imports numpy.ma on first use; a fresh interpreter
+    # shows whether a simulate run still pays for that import.
+    script = (
+        "import sys\n"
+        "from edmdetect import cli\n"
+        "assert cli.main(['simulate', '--trials', '2000', '--out', sys.argv[1]]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(edmdetect.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "False"
+
+
 class TestReadmeMatchesCli:
     # The README documents every flag and config key; removed knobs must not
     # linger there.

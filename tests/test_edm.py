@@ -19,7 +19,7 @@ from edmdetect import (
     test_statistic as q_statistic,
     true_ranges,
 )
-from edmdetect.edm import ORDERING_ALGEBRAIC, ORDERING_MAGNITUDE, _order_indices
+from edmdetect.edm import ORDERING_ALGEBRAIC, ORDERING_MAGNITUDE, _order_indices, _row_sum
 
 RNG = np.random.default_rng(2024)
 
@@ -169,6 +169,26 @@ class TestCenteredGramEigvals:
             centered_gram_eigvals(scenario12.satellites, np.where(np.arange(d.size) == 4, 0.0, d))
         with pytest.raises(ValueError, match="entries"):
             centered_gram_eigvals(scenario12.satellites, d[:-1])
+
+
+class TestRowSum:
+    def test_matches_numpy_sum_bit_for_bit(self):
+        # Lengths 1..140 cover the one-by-one sum below 8, the eight
+        # accumulators with and without a tail, and the recursive halves
+        # above 128; the values span 20 decades and both signs.
+        k = 37
+        acc, pair = np.empty((2, 8, k)), np.empty((2, 4, k))
+        for n in range(1, 141):
+            x = RNG.normal(size=(2, k, n)) * 10.0 ** RNG.uniform(-10, 10, size=(2, k, n))
+            got = _row_sum(np.ascontiguousarray(np.swapaxes(x, -1, -2)), np.empty((2, k)),
+                           acc, pair)
+            assert np.array_equal(got.view(np.uint64), x.sum(axis=-1).view(np.uint64)), n
+
+    def test_signed_zeros_sum_to_plus_zero(self):
+        # numpy's reduction starts from +0.0, so rows of -0.0 sum to +0.0.
+        for n in (1, 7, 8, 9, 16, 130):
+            got = _row_sum(np.full((n, 3), -0.0), np.empty(3), np.empty((8, 3)), np.empty((4, 3)))
+            assert np.array_equal(got.view(np.uint64), np.zeros(3).view(np.uint64)), n
 
 
 class TestSpectrum:

@@ -1,6 +1,7 @@
 """Trial harness: determinism, summaries, fault injection, and the FD audit."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 from decimal import Context, Decimal, localcontext
 from pathlib import Path
@@ -27,9 +28,12 @@ from edmdetect import (
     test_statistic as q_statistic,
     true_ranges,
 )
-from edmdetect import montecarlo
+from edmdetect import centered_gram_eigvals, montecarlo
+from edmdetect.edm import ORDERING_ALGEBRAIC, ORDERING_MAGNITUDE, _order_indices
 from edmdetect.montecarlo import (
+    _BLOCK,
     TrialBatch,
+    _fd_bin_count,
     _jacobi_eigenvalues,
     _ks_statistic,
     _rank5_oracle,
@@ -237,6 +241,27 @@ class TestSummarize:
         s = summarize(synthetic_batch(qs), gaussian_dist(0.0, 1.0))
         assert s.hist_counts.sum() == 3000
         assert np.all(np.diff(s.hist_edges) > 0)
+
+    def test_fd_bin_count_gives_numpy_fd_edges(self, mc100k):
+        # The Freedman-Diaconis count without np.percentile: the edges of
+        # np.histogram_bin_edges(x, bins="fd") bit for bit, on seeded samples
+        # of 2..3000 values (a third of them full of ties) and on the default
+        # 100k-trial q sample.
+        rng = np.random.default_rng(77)
+        samples = [mc100k.q]
+        for t in range(600):
+            n = int(rng.integers(2, 3001))
+            if t % 3 == 0:
+                x = rng.integers(-3, 4, n) * rng.choice([1.0, 1e-7, 3.3])
+            elif t % 3 == 1:
+                x = rng.standard_cauchy(n) * 10.0 ** rng.uniform(-10, 10)
+            else:
+                x = rng.normal(5e-4, 1e-8, n)
+            samples.append(x)
+        for x in samples:
+            fd = np.histogram_bin_edges(x, bins="fd")
+            got = np.histogram_bin_edges(x, bins=_fd_bin_count(x))
+            assert got.shape == fd.shape and np.array_equal(got, fd), x.size
 
     def test_correlation_matrix_shape(self):
         rng = np.random.default_rng(8)
@@ -501,6 +526,57 @@ def test_trial_block_matches_plain_pipeline(small_scenario):
         v = block_noise(key, 0, t + 1, small_scenario.m, nm.sigma_v)[t]
         sample = PseudorangeSample(rho=d + b + v, d_true=d, b_effective=b, v=v)
         assert q[t] == pytest.approx(q_of_sample(small_scenario, sample), rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [5, 12, 30])
+@pytest.mark.parametrize("n", [1, 1023, 1025])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_trials_is_the_public_kernel_ranked(m, n, workers):
+    # One kernel path: run_trials' columns are, bit for bit, the public
+    # centered_gram_eigvals of the same block_noise rows, all m + 1 values
+    # ranked by _order_indices. m = 5 sums fewer than 8 features at a time.
+    g = generate_constellation(m, 10.0 if m < 30 else 5.0, seed=1)
+    nm = NoiseModel(sigma_v=3.0, bias_b=1.0e5)
+    batch = run_trials(g, nm, n, 9, workers=workers)
+    d = true_ranges(g)
+    key = noise_key(9)
+    rho = np.concatenate([
+        d + nm.bias_b + block_noise(key, b, min(_BLOCK, n - b * _BLOCK), m, nm.sigma_v)
+        for b in range(-(-n // _BLOCK))
+    ])
+    w = centered_gram_eigvals(g.satellites, rho)
+    main = np.take_along_axis(w, _order_indices(w, ORDERING_MAGNITUDE), axis=-1)
+    alt = np.take_along_axis(w, _order_indices(w, ORDERING_ALGEBRAIC), axis=-1)
+    assert np.array_equal(batch.lambdas, main[:, :5])
+    assert np.array_equal(batch.q, (main[:, 3] + main[:, 4]) / (2.0 * main[:, 0]))
+    assert np.array_equal(batch.q_alt, (alt[:, 3] + alt[:, 4]) / (2.0 * alt[:, 0]))
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc while fn() runs, above the start."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_trial_loop_and_writer_memory_stays_flat(scenario12, noise_default, tmp_path):
+    # Growing the run 8x may grow run_trials' peak by its output columns
+    # only, and write_trials_csv's peak not at all: blocks are filled in
+    # place and written through one row matrix. Allowance: 256 KiB.
+    run_trials(scenario12, noise_default, 2 * _BLOCK, 3)  # first-use costs
+    extra, writer = {}, {}
+    for n in (8192, 65536):
+        batches = []
+        peak = _traced_peak(lambda: batches.append(run_trials(scenario12, noise_default, n, 3)))
+        (batch,) = batches
+        extra[n] = peak - batch.q.nbytes - batch.lambdas.nbytes - batch.q_alt.nbytes
+        writer[n] = _traced_peak(lambda: write_trials_csv(batch, tmp_path / "trials.csv"))
+    assert extra[65536] - extra[8192] <= 256 * 1024, extra
+    assert writer[65536] - writer[8192] <= 256 * 1024, writer
 
 
 def test_empirical_false_alarm_matches_target(small_scenario):
