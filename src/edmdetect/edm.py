@@ -105,13 +105,14 @@ def edm_from_gram(G: np.ndarray) -> SquaredDistanceMatrix:
 
 
 def _check_pseudoranges(rho: np.ndarray, m: int) -> np.ndarray:
-    """``rho`` as floats, with shape (..., m) and every entry positive."""
+    """``rho`` as floats, with shape (..., m) and every entry positive and finite."""
     rho = np.asarray(rho, dtype=float)
     if rho.ndim == 0 or rho.shape[-1] != m:
         raise ValueError(f"pseudorange vectors need {m} entries, one per satellite, "
                          f"got shape {rho.shape}")
-    if np.any(rho <= 0):
-        raise GeometryError("pseudoranges must all be positive")
+    # min and max propagate NaN, so a NaN fails the first comparison.
+    if rho.size and not 0 < rho.min() <= rho.max() < np.inf:
+        raise GeometryError("pseudoranges must all be positive and finite")
     return rho
 
 

@@ -248,12 +248,21 @@ def _ks_statistic(sample: np.ndarray, mu: float, sigma: float) -> float:
     """One-sample KS distance between the sample and N(mu, sigma^2).
 
     Phi(z) = erfc(-z / sqrt(2)) / 2 is evaluated per value with math.erfc.
+    The sorted copy is walked one _BLOCK at a time and only the two running
+    maxima carry over, so the object array of Python floats that math.erfc
+    fills is _BLOCK long, not n long; a maximum does not depend on the
+    order of its operands, and np.maximum propagates NaN as .max() does.
     """
     x = np.sort(sample)
     n = x.shape[0]
-    F = 0.5 * _ERFC(-((x - mu) / sigma) / _SQRT2).astype(float)
-    i = np.arange(1, n + 1)
-    return float(max((i / n - F).max(), (F - (i - 1) / n).max()))
+    above = below = -np.inf
+    for start in range(0, n, _BLOCK):
+        xb = x[start : start + _BLOCK]
+        F = 0.5 * _ERFC(-((xb - mu) / sigma) / _SQRT2).astype(float)
+        i = np.arange(start + 1, start + 1 + xb.size)
+        above = np.maximum(above, (i / n - F).max())
+        below = np.maximum(below, (F - (i - 1) / n).max())
+    return float(max(above, below))
 
 
 def ks_critical_value(alpha: float, n: int) -> float:
@@ -288,6 +297,83 @@ def _fd_bin_count(x: np.ndarray) -> int:
     return int(np.ceil((last - first) / width))
 
 
+def _column_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x.mean(axis=0)`` and ``x.var(axis=0, ddof=1)`` of an (n, k) x, bit for bit.
+
+    For a C-ordered (n, k) array with k > 1, numpy reduces axis 0 row after
+    row from 0.0: ((0 + x[0]) + x[1]) + x[2] ..., with no pairwise blocking,
+    and the variance is that sum over (x - mean)**2 divided by n - 1. Here
+    each chunk of _BLOCK rows goes below the running sum and np.add.accumulate
+    adds them in that same order, so every rounding is numpy's while the
+    only temporaries are _BLOCK rows long; numpy's variance makes an (n, k)
+    one. Any layout of x is summed this way, so the bits match numpy's own
+    only where numpy also goes row after row, as it does for C order.
+    """
+    n, k = x.shape
+    rows = np.empty((min(n, _BLOCK) + 1, k))
+    acc = np.empty_like(rows)
+
+    def row_sum(shift=None):
+        rows[0] = 0.0
+        for start in range(0, n, _BLOCK):
+            chunk = x[start : start + _BLOCK]
+            top = chunk.shape[0] + 1
+            if shift is None:
+                rows[1:top] = chunk
+            else:
+                np.subtract(chunk, shift, out=rows[1:top])
+                np.multiply(rows[1:top], rows[1:top], out=rows[1:top])
+            np.add.accumulate(rows[:top], axis=0, out=acc[:top])
+            rows[0] = acc[top - 1]
+        return rows[0].copy()
+
+    mean = row_sum() / n
+    return mean, row_sum(mean) / (n - 1)
+
+
+def _correlation(lams: np.ndarray) -> np.ndarray:
+    """The (4, 4) correlation of the _CORRELATION_LABELS columns of ``lams``.
+
+    A column with zero sample variance gets the identity's row and column.
+    The other entries are np.corrcoef(cols[:, ok], rowvar=False) bit for
+    bit, computed in one C-ordered (4, n) buffer instead of four (n, 4)
+    copies (the stack, the selection, np.cov's own copy and its conj()).
+    The layout is the point: cols[:, ok] is F-ordered, so np.cov works on
+    a C-ordered (k, n) array. Its row means are pairwise sums along
+    contiguous rows, where an (n, k) layout would sum row after row, and
+    the bits of np.dot depend on the layout of its operands: np.corrcoef of
+    the C-ordered (n, 4) stack differs in the last bits. The buffer then
+    takes np.cov's and np.corrcoef's steps in place: row means,
+    subtraction, X X^T times 1/(n - 1), division by the square root of the
+    diagonal on each side, and clipping to [-1, 1].
+    """
+    n = lams.shape[0]
+    X = np.empty((4, n))
+    X[0], X[1], X[2] = lams[:, 0], lams[:, 3], lams[:, 4]
+    np.add(lams[:, 3], lams[:, 4], out=X[3])
+    # The columns' variance, as numpy's std(axis=0) of the (n, 4) stack.
+    ok = _column_moments(X.T)[1] > 0
+    corr = np.eye(4)
+    k = int(np.count_nonzero(ok))
+    if not k:
+        return corr
+    for row, col in enumerate(np.flatnonzero(ok)):
+        X[row] = X[col]
+    X = X[:k]
+    X -= X.mean(axis=1)[:, None]
+    c = np.dot(X, X.T)
+    c *= np.true_divide(1, n - 1)
+    if k == 1:
+        c = c / c  # np.corrcoef's scalar case: nan for a nan, inf or zero variance
+    else:
+        sd = np.sqrt(np.diag(c))
+        c /= sd[:, None]
+        c /= sd[None, :]
+        np.clip(c, -1, 1, out=c)
+    corr[np.ix_(ok, ok)] = c
+    return corr
+
+
 def summarize(
     batch: TrialBatch,
     dist: StatisticDistribution,
@@ -298,12 +384,19 @@ def summarize(
     The histogram uses Freedman-Diaconis binning; the KS statistic compares
     the q sample with N(mu_q, sigma_q^2). The false-alarm rate comes from
     ``threshold`` when supplied, else from the batch's stored flags.
+
+    Beyond the batch, summarize holds at most one (4, n) float buffer, for
+    the correlation, plus scratch of _BLOCK rows; the n-long copies of q
+    that its moments, KS distance and bins take come one at a time, before
+    it. Every value is still the bits of numpy's one-shot expressions: the
+    eigenvalue moments add rows in numpy's axis-0 order (_column_moments),
+    and the correlation keeps np.corrcoef's memory layout, on which np.dot's
+    bits depend (_correlation).
     """
     n = len(batch)
     if n < 2:
         raise ValueError("need at least 2 trials to summarize")
     qs = batch.q
-    lams = batch.lambdas
 
     q_mean = float(qs.mean())
     q_std = float(qs.std(ddof=1))
@@ -323,27 +416,21 @@ def summarize(
     else:
         rate = None
 
-    cols = np.column_stack([lams[:, 0], lams[:, 3], lams[:, 4], lams[:, 3] + lams[:, 4]])
-    sd = cols.std(axis=0, ddof=1)
-    corr = np.eye(4)
-    ok = sd > 0
-    if ok.any():
-        sub = np.corrcoef(cols[:, ok], rowvar=False)
-        corr[np.ix_(ok, ok)] = np.atleast_2d(sub)
+    lambda_mean, lambda_var = _column_moments(batch.lambdas)
 
     return SimulationSummary(
         n_trials=n,
         q_mean=q_mean,
         q_std=q_std,
-        lambda_mean=lams.mean(axis=0),
-        lambda_var=lams.var(axis=0, ddof=1),
+        lambda_mean=lambda_mean,
+        lambda_var=lambda_var,
         hist_edges=edges,
         hist_counts=counts,
         ks_statistic=ks,
         ks_critical_5pct=ks_critical_value(0.05, n),
         ks_critical_1pct=ks_critical_value(0.01, n),
         false_alarm_rate=rate,
-        correlation=corr,
+        correlation=_correlation(batch.lambdas),
         degenerate=degenerate,
         predicted=dist,
         q_alt_mean=float(batch.q_alt.mean()),

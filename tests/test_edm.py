@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from edmdetect import (
+    GeometryError,
     GramSpectrum,
     NoiseModel,
     SpectrumError,
@@ -167,6 +168,12 @@ class TestCenteredGramEigvals:
             centered_gram_eigvals(bad, d)
         with pytest.raises(ValueError, match="positive"):
             centered_gram_eigvals(scenario12.satellites, np.where(np.arange(d.size) == 4, 0.0, d))
+        for value in (np.nan, np.inf, -np.inf):
+            rho = np.where(np.arange(d.size) == 4, value, d)
+            with pytest.raises(GeometryError, match="positive and finite"):
+                centered_gram_eigvals(scenario12.satellites, rho)
+            with pytest.raises(GeometryError, match="positive and finite"):
+                centered_gram_eigvals(scenario12.satellites, np.stack([d, rho, d]))
         with pytest.raises(ValueError, match="entries"):
             centered_gram_eigvals(scenario12.satellites, d[:-1])
 

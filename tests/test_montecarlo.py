@@ -2,7 +2,7 @@
 
 import json
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from decimal import Context, Decimal, localcontext
 from pathlib import Path
 
@@ -32,7 +32,11 @@ from edmdetect import centered_gram_eigvals, montecarlo
 from edmdetect.edm import ORDERING_ALGEBRAIC, ORDERING_MAGNITUDE, _order_indices
 from edmdetect.montecarlo import (
     _BLOCK,
+    _ERFC,
+    _SQRT2,
+    SimulationSummary,
     TrialBatch,
+    _exceeds,
     _fd_bin_count,
     _jacobi_eigenvalues,
     _ks_statistic,
@@ -73,6 +77,68 @@ def gaussian_dist(mu, sigma):
         mu_den=1.0, sigma_den=0.0, mu_q=mu, sigma_q=sigma,
         covariance_num_den=0.0, validity_warnings=(),
     )
+
+
+def ks_reference(sample, mu, sigma):
+    """The KS distance in one shot: an n-long object array of Python floats."""
+    x = np.sort(sample)
+    n = x.shape[0]
+    F = 0.5 * _ERFC(-((x - mu) / sigma) / _SQRT2).astype(float)
+    i = np.arange(1, n + 1)
+    return float(max((i / n - F).max(), (F - (i - 1) / n).max()))
+
+
+def summarize_reference(batch, dist, threshold=None):
+    """summarize from numpy's one-shot expressions: the oracle of its bits.
+
+    np.corrcoef on the column stack, lambdas.var's (n, 5) temporary and
+    ks_reference's object array take about 96 B/trial beyond the batch.
+    """
+    n = len(batch)
+    qs, lams = batch.q, batch.lambdas
+    q_std = float(qs.std(ddof=1))
+    degenerate = q_std == 0.0 or dist.sigma_q == 0.0
+    edges = np.histogram_bin_edges(qs, bins=_fd_bin_count(qs))
+    if threshold is not None:
+        rate = float(np.mean(_exceeds(qs, threshold)))
+    elif batch.exceeded is not None:
+        rate = float(np.mean(batch.exceeded))
+    else:
+        rate = None
+    cols = np.column_stack([lams[:, 0], lams[:, 3], lams[:, 4], lams[:, 3] + lams[:, 4]])
+    ok = cols.std(axis=0, ddof=1) > 0
+    corr = np.eye(4)
+    if ok.any():
+        corr[np.ix_(ok, ok)] = np.atleast_2d(np.corrcoef(cols[:, ok], rowvar=False))
+    return SimulationSummary(
+        n_trials=n,
+        q_mean=float(qs.mean()),
+        q_std=q_std,
+        lambda_mean=lams.mean(axis=0),
+        lambda_var=lams.var(axis=0, ddof=1),
+        hist_edges=edges,
+        hist_counts=np.histogram(qs, bins=edges)[0],
+        ks_statistic=1.0 if degenerate else ks_reference(qs, dist.mu_q, dist.sigma_q),
+        ks_critical_5pct=ks_critical_value(0.05, n),
+        ks_critical_1pct=ks_critical_value(0.01, n),
+        false_alarm_rate=rate,
+        correlation=corr,
+        degenerate=degenerate,
+        predicted=dist,
+        q_alt_mean=float(batch.q_alt.mean()),
+        q_alt_std=float(batch.q_alt.std(ddof=1)),
+    )
+
+
+def assert_same_bits(got, want):
+    for field in fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if b is None or field.name == "predicted":
+            assert a is b, field.name
+            continue
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.dtype == b.dtype and a.shape == b.shape, field.name
+        assert a.tobytes() == b.tobytes(), (field.name, a, b)
 
 
 @pytest.fixture(scope="module")
@@ -262,6 +328,44 @@ class TestSummarize:
             fd = np.histogram_bin_edges(x, bins="fd")
             got = np.histogram_bin_edges(x, bins=_fd_bin_count(x))
             assert got.shape == fd.shape and np.array_equal(got, fd), x.size
+
+    @pytest.mark.parametrize("n", [2, 3, 1023, 1024, 1025, 65_536, 100_000])
+    def test_same_bits_as_numpy_one_shot(self, mc100k, scenario12, noise_default, n):
+        # The default run's prefixes (a prefix is a shorter run, bit for
+        # bit), across the _BLOCK boundaries of the chunked reductions.
+        dist = predict_q_distribution(scenario12, noise_default)
+        batch = TrialBatch(q=mc100k.q[:n], lambdas=mc100k.lambdas[:n], exceeded=None,
+                           q_alt=mc100k.q_alt[:n])
+        assert_same_bits(summarize(batch, dist), summarize_reference(batch, dist))
+
+    @pytest.mark.parametrize("edge", ["constant_lambda5_0.5", "constant_lambda5_0.1",
+                                      "zero_sum_column", "constant_q", "only_lambda1_varies"])
+    def test_same_bits_as_numpy_one_shot_on_edge_batches(self, edge):
+        # Constant columns drop out of the correlation (a constant 0.1 sums
+        # to a mean that is not 0.1, so its variance is not exactly zero),
+        # lambda5 = -lambda4 makes the sum column exactly zero, a constant q
+        # is degenerate (KS = 1), and a single varying column takes
+        # np.corrcoef's scalar path.
+        rng = np.random.default_rng(3)
+        n = 2500
+        qs = rng.normal(0.3, 0.07, n)
+        lams = rng.normal(size=(n, 5)) * [4e14, 3e14, 2e14, 1e3, -1e3]
+        if edge.startswith("constant_lambda5"):
+            lams[:, 4] = float(edge.rsplit("_", 1)[1])
+        elif edge == "zero_sum_column":
+            lams[:, 4] = -lams[:, 3]
+        elif edge == "constant_q":
+            qs[:] = 1.25
+        else:
+            lams[:, 1:] = 0.0
+        batch = synthetic_batch(qs, lams)
+        dist = gaussian_dist(0.3, 0.07)
+        got = summarize(batch, dist, threshold=0.35)
+        assert_same_bits(got, summarize_reference(batch, dist, threshold=0.35))
+        if edge == "constant_q":
+            assert got.degenerate and got.ks_statistic == 1.0
+        if edge == "zero_sum_column":
+            assert np.array_equal(got.correlation[3], np.eye(4)[3])
 
     def test_correlation_matrix_shape(self):
         rng = np.random.default_rng(8)
@@ -577,6 +681,23 @@ def test_trial_loop_and_writer_memory_stays_flat(scenario12, noise_default, tmp_
         writer[n] = _traced_peak(lambda: write_trials_csv(batch, tmp_path / "trials.csv"))
     assert extra[65536] - extra[8192] <= 256 * 1024, extra
     assert writer[65536] - writer[8192] <= 256 * 1024, writer
+
+
+def test_summarize_memory_is_one_four_row_buffer(scenario12, noise_default):
+    # Beyond the batch, summarize holds one (4, n) float buffer (32 B/trial)
+    # plus scratch of _BLOCK rows; numpy's one-shot expressions
+    # (summarize_reference) take about 96 B/trial. Bound, fixed in advance:
+    # 3.0 MB at n = 65,536 (about 46 B/trial), and at n = 8,192 no more
+    # than the one-shot expressions.
+    dist = predict_q_distribution(scenario12, noise_default)
+    batch = run_trials(scenario12, noise_default, 65_536, 3)
+    small = TrialBatch(q=batch.q[:8192], lambdas=batch.lambdas[:8192], exceeded=None,
+                       q_alt=batch.q_alt[:8192])
+    summarize(small, dist)  # first-use costs
+    summarize_reference(small, dist)
+    assert _traced_peak(lambda: summarize(batch, dist)) <= 3.0e6
+    assert (_traced_peak(lambda: summarize(small, dist))
+            <= _traced_peak(lambda: summarize_reference(small, dist)))
 
 
 def test_empirical_false_alarm_matches_target(small_scenario):
