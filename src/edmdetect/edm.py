@@ -20,17 +20,12 @@ import numpy as np
 
 from .errors import GeometryError, SpectrumError
 
-ORDERING_ALGEBRAIC = "algebraic"
-ORDERING_MAGNITUDE = "magnitude"
-ORDERINGS = (ORDERING_ALGEBRAIC, ORDERING_MAGNITUDE)
-
 # For the indefinite centered Gram matrix the bias-activated fifth eigenvalue
 # is negative, so ranking by magnitude is what keeps positions 4 and 5 on the
-# two activated eigenvalues; algebraic ranking leaves position 5 pinned to the
-# zero cluster. Magnitude is therefore the default and the only ranking the
-# trial kernel, the prediction and the FD audit use for q; algebraic ranking
-# survives as the trial kernel's q_alt comparison.
-DEFAULT_ORDERING = ORDERING_MAGNITUDE
+# two activated eigenvalues; algebraic ranking would leave position 5 pinned
+# to the zero cluster. Eigenvalues are therefore always ranked by magnitude,
+# and the outputs record this label.
+ORDERING_MAGNITUDE = "magnitude"
 
 _NEG_CLIP_REL = 1e-6
 
@@ -57,14 +52,13 @@ class SquaredDistanceMatrix:
 class GramSpectrum:
     """Eigenvalues (meters^2) and matched unit eigenvectors of a Gram matrix.
 
-    Columns of ``eigenvectors`` pair with ``eigenvalues`` under the recorded
-    ``ordering``. Each eigenvector's largest-magnitude component is made
+    Columns of ``eigenvectors`` pair with ``eigenvalues``, ranked by
+    magnitude. Each eigenvector's largest-magnitude component is made
     positive so output is reproducible across eigensolver backends.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    ordering: str
 
     @property
     def n(self) -> int:
@@ -348,26 +342,18 @@ def centered_gram_eigvals(satellites: np.ndarray, rho: np.ndarray) -> np.ndarray
     return out
 
 
-def _order_indices(w: np.ndarray, ordering: str) -> np.ndarray:
-    """Indices ranking eigenvalues along the last axis per ``ordering``."""
-    if ordering == ORDERING_ALGEBRAIC:
-        return np.argsort(-w, axis=-1, kind="stable")
-    if ordering == ORDERING_MAGNITUDE:
-        return np.argsort(-np.abs(w), axis=-1, kind="stable")
-    raise ValueError(f"ordering must be one of {ORDERINGS}, got {ordering!r}")
+def _order_indices(w: np.ndarray) -> np.ndarray:
+    """Indices ranking eigenvalues along the last axis by magnitude, descending."""
+    return np.argsort(-np.abs(w), axis=-1, kind="stable")
 
 
-def spectrum(G_c: np.ndarray, ordering: str = DEFAULT_ORDERING) -> GramSpectrum:
-    """Eigendecomposition of a symmetric matrix, sorted per ``ordering``.
-
-    ``algebraic`` sorts by signed value descending; ``magnitude`` sorts by
-    absolute value descending (signed values are kept either way).
-    """
+def spectrum(G_c: np.ndarray) -> GramSpectrum:
+    """Eigendecomposition of a symmetric matrix, ranked by magnitude (signs kept)."""
     G_c = np.asarray(G_c, dtype=float)
     if not np.all(np.isfinite(G_c)):
         raise SpectrumError("matrix contains non-finite entries")
     w, V = np.linalg.eigh(G_c)
-    idx = _order_indices(w, ordering)
+    idx = _order_indices(w)
     w = w[idx]
     V = V[:, idx]
     # Deterministic sign: largest-|component| entry of each column positive.
@@ -375,11 +361,11 @@ def spectrum(G_c: np.ndarray, ordering: str = DEFAULT_ORDERING) -> GramSpectrum:
     signs = np.sign(V[lead, np.arange(V.shape[1])])
     signs[signs == 0] = 1.0
     V = V * signs[None, :]
-    return GramSpectrum(eigenvalues=w, eigenvectors=V, ordering=ordering)
+    return GramSpectrum(eigenvalues=w, eigenvectors=V)
 
 
 def test_statistic(s: GramSpectrum) -> float:
-    """q = (lambda_4 + lambda_5) / (2 * lambda_1) under the spectrum's ordering."""
+    """q = (lambda_4 + lambda_5) / (2 * lambda_1) of a magnitude-ranked spectrum."""
     if s.n < 5:
         raise SpectrumError(f"need at least 5 eigenvalues, got {s.n}")
     lam1 = s.eigenvalues[0]

@@ -167,10 +167,11 @@ def generate_constellation(
         raise GeometryError(
             f"elevation mask must lie in [0, 90) degrees, got {elevation_mask_deg}"
         )
-    if orbit_radius_m <= EARTH_RADIUS_M:
+    # A NaN fails the comparison, so it is refused too.
+    if not EARTH_RADIUS_M < orbit_radius_m < np.inf:
         raise GeometryError(
-            f"orbit radius {orbit_radius_m} m must exceed the Earth radius "
-            f"{EARTH_RADIUS_M} m"
+            f"orbit radius {orbit_radius_m} m must be finite and exceed the Earth "
+            f"radius {EARTH_RADIUS_M} m"
         )
 
     rng = np.random.default_rng(seed)

@@ -59,15 +59,12 @@ _ERFC = np.frompyfunc(math.erfc, 1, 1)
 class TrialBatch:
     """Columnar results of k noisy trials; row t belongs to trial t.
 
-    ``q`` and ``lambdas`` rank the eigenvalues by magnitude. ``q_alt`` is
-    the statistic recomputed under algebraic ranking; it is a diagnostic and
-    not part of the CSV contract.
+    ``q`` and ``lambdas`` rank the eigenvalues by magnitude.
     """
 
     q: np.ndarray  # (k,)
     lambdas: np.ndarray  # (k, 5) leading eigenvalues by magnitude
     exceeded: np.ndarray | None  # (k,) bool, or None when no threshold was given
-    q_alt: np.ndarray  # (k,)
 
     def __len__(self) -> int:
         return self.q.shape[0]
@@ -91,8 +88,6 @@ class SimulationSummary:
     correlation: np.ndarray  # (4, 4) over _CORRELATION_LABELS
     degenerate: bool
     predicted: StatisticDistribution
-    q_alt_mean: float
-    q_alt_std: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -118,20 +113,7 @@ class SimulationSummary:
             },
             "degenerate": self.degenerate,
             "predicted": self.predicted.to_json_dict(),
-            "q_alt": {
-                "ordering": edm.ORDERING_ALGEBRAIC,
-                "mean": self.q_alt_mean,
-                "std": self.q_alt_std,
-            },
         }
-
-
-def _exceeds(q: np.ndarray, threshold) -> np.ndarray:
-    """Exceedance mask; scalar = one-sided upper, pair = outside the band."""
-    if np.isscalar(threshold):
-        return q > threshold
-    lo, hi = threshold
-    return (q < lo) | (q > hi)
 
 
 def noise_key(master_seed: int) -> np.ndarray:
@@ -158,16 +140,15 @@ def _trial_block(
     block: int,
     k: int,
     factors: edm.Rank5Factors | None = None,
-    out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
     ws: edm.Rank5Workspace | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run the first k trials of a block into out = (q, first-5 eigenvalues, q_alt).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run the first k trials of a block into out = (q, first-5 eigenvalues).
 
-    q and the eigenvalues rank by magnitude, q_alt by algebraic order.
-    ``factors`` are the kernel's edm.Rank5Factors(satellites), which
-    run_trials builds once per run; ``out`` holds the block's rows of the
-    run's columns and ``ws`` the kernel's buffers. Each is made here when
-    not given.
+    The eigenvalues rank by magnitude. ``factors`` are the kernel's
+    edm.Rank5Factors(satellites), which run_trials builds once per run;
+    ``out`` holds the block's rows of the run's columns and ``ws`` the
+    kernel's buffers. Each is made here when not given.
     """
     m = d.shape[0]
     if factors is None:
@@ -175,27 +156,23 @@ def _trial_block(
     if ws is None:
         ws = edm.Rank5Workspace(m, k)
     if out is None:
-        out = (np.empty(k), np.empty((k, 5)), np.empty(k))
-    q, lambdas, q_alt = out
+        out = (np.empty(k), np.empty((k, 5)))
+    q, lambdas = out
     rho = ws.rho[:, :k]
     np.add((d + bias_b)[:, None], block_noise(key, block, k, m, sigma_v).T, out=rho)
     # Columns 5.. of the spectrum are exact zeros, so ranking the five Ritz
     # values with one of them gives the same first five values as ranking
     # all m + 1.
     w = edm.rank5_eigvals(factors, rho, ws)
-    w_main, w_alt = (
-        np.take_along_axis(w, edm._order_indices(w, order), axis=-1)
-        for order in (edm.ORDERING_MAGNITUDE, edm.ORDERING_ALGEBRAIC)
-    )
-    lam1 = w_main[:, 0]
+    w = np.take_along_axis(w, edm._order_indices(w), axis=-1)
+    lam1 = w[:, 0]
     bad = np.flatnonzero(lam1 == 0.0)
     if bad.size:
         raise SpectrumError(
             f"trial {block * _BLOCK + int(bad[0])}: leading eigenvalue is zero (degenerate geometry)"
         )
-    np.divide(w_main[:, 3] + w_main[:, 4], 2.0 * lam1, out=q)
-    lambdas[...] = w_main[:, :5]
-    np.divide(w_alt[:, 3] + w_alt[:, 4], 2.0 * w_alt[:, 0], out=q_alt)
+    np.divide(w[:, 3] + w[:, 4], 2.0 * lam1, out=q)
+    lambdas[...] = w[:, :5]
     return out
 
 
@@ -204,15 +181,15 @@ def run_trials(
     nm: geometry.NoiseModel,
     n_trials: int,
     master_seed: int,
-    threshold=None,
+    threshold: float | None = None,
     workers: int = 1,
 ) -> TrialBatch:
     """Run ``n_trials`` independent noisy trials at a fixed geometry.
 
-    ``threshold`` may be a scalar (one-sided upper) or a (lo, hi) pair; when
-    given, the batch carries an exceedance flag per trial. ``workers`` > 1
-    fans the fixed-size trial blocks out to a process pool; outputs are
-    identical for any worker count. The geometry's kernel factors are built
+    When the one-sided upper ``threshold`` is given, the batch carries an
+    exceedance flag per trial, q > threshold. ``workers`` > 1 fans the
+    fixed-size trial blocks out to a process pool; outputs are identical
+    for any worker count. The geometry's kernel factors are built
     once; the serial path then fills the result columns block by block in
     place, through one set of kernel buffers.
     """
@@ -223,7 +200,7 @@ def run_trials(
     d = geometry.true_ranges(g)
     key = noise_key(master_seed)
     factors = edm.Rank5Factors(g.satellites)
-    q, lambdas, q_alt = np.empty(n_trials), np.empty((n_trials, 5)), np.empty(n_trials)
+    q, lambdas = np.empty(n_trials), np.empty((n_trials, 5))
     rows = [slice(start, min(start + _BLOCK, n_trials)) for start in range(0, n_trials, _BLOCK)]
     args = [
         (g.satellites, d, nm.sigma_v, nm.bias_b, key, block, sl.stop - sl.start)
@@ -232,16 +209,16 @@ def run_trials(
     if workers <= 1 or len(args) == 1:
         ws = edm.Rank5Workspace(g.m, args[0][-1])
         for a, sl in zip(args, rows):
-            _trial_block(*a, factors, out=(q[sl], lambdas[sl], q_alt[sl]), ws=ws)
+            _trial_block(*a, factors, out=(q[sl], lambdas[sl]), ws=ws)
     else:
         from concurrent.futures import ProcessPoolExecutor  # only worker pools need it
 
         blocks = functools.partial(_trial_block, factors=factors)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for sl, block in zip(rows, pool.map(blocks, *zip(*args))):
-                q[sl], lambdas[sl], q_alt[sl] = block
-    exceeded = _exceeds(q, threshold) if threshold is not None else None
-    return TrialBatch(q=q, lambdas=lambdas, exceeded=exceeded, q_alt=q_alt)
+                q[sl], lambdas[sl] = block
+    exceeded = q > threshold if threshold is not None else None
+    return TrialBatch(q=q, lambdas=lambdas, exceeded=exceeded)
 
 
 def _ks_statistic(sample: np.ndarray, mu: float, sigma: float) -> float:
@@ -377,13 +354,13 @@ def _correlation(lams: np.ndarray) -> np.ndarray:
 def summarize(
     batch: TrialBatch,
     dist: StatisticDistribution,
-    threshold=None,
+    threshold: float | None = None,
 ) -> SimulationSummary:
     """Reduce a trial batch to empirical statistics and fit diagnostics.
 
     The histogram uses Freedman-Diaconis binning; the KS statistic compares
-    the q sample with N(mu_q, sigma_q^2). The false-alarm rate comes from
-    ``threshold`` when supplied, else from the batch's stored flags.
+    the q sample with N(mu_q, sigma_q^2). The false-alarm rate counts
+    q > ``threshold`` when supplied, else the batch's stored flags.
 
     Beyond the batch, summarize holds at most one (4, n) float buffer, for
     the correlation, plus scratch of _BLOCK rows; the n-long copies of q
@@ -410,7 +387,7 @@ def summarize(
     counts, _ = np.histogram(qs, bins=edges)
 
     if threshold is not None:
-        rate = float(np.mean(_exceeds(qs, threshold)))
+        rate = float(np.mean(qs > threshold))
     elif batch.exceeded is not None:
         rate = float(np.mean(batch.exceeded))
     else:
@@ -433,8 +410,6 @@ def summarize(
         correlation=_correlation(batch.lambdas),
         degenerate=degenerate,
         predicted=dist,
-        q_alt_mean=float(batch.q_alt.mean()),
-        q_alt_std=float(batch.q_alt.std(ddof=1)),
     )
 
 

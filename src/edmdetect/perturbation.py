@@ -86,9 +86,6 @@ class SensitivityTable:
 class NumeratorMoments(NamedTuple):
     mu: float
     sigma: float
-    # Variance-summed value that ignores the lambda_4/lambda_5 covariance
-    # induced by shared noise; kept as a diagnostic.
-    sigma_independent: float
 
 
 class RatioGaussian(NamedTuple):
@@ -103,7 +100,6 @@ class StatisticDistribution:
 
     mu_num: float
     sigma_num: float
-    sigma_num_independent: float
     mu_den: float
     sigma_den: float
     mu_q: float
@@ -183,15 +179,10 @@ def numerator_moments(
 
     The variance uses the combined linear form sum_j (s4j + s5j) v_j, which
     carries the covariance the two eigenvalues inherit from shared noise.
-    The covariance-free sum of the individual variances is returned as a
-    diagnostic alongside.
     """
-    s4 = table.row(4)
-    s5 = table.row(5)
     mu = float(lambda4_nom + lambda5_nom)
-    var = float(np.sum(((s4 + s5) * sigma_v) ** 2))
-    var_indep = eigenvalue_variance(s4, sigma_v) + eigenvalue_variance(s5, sigma_v)
-    return NumeratorMoments(mu=mu, sigma=np.sqrt(var), sigma_independent=np.sqrt(var_indep))
+    var = eigenvalue_variance(table.row(4) + table.row(5), sigma_v)
+    return NumeratorMoments(mu=mu, sigma=np.sqrt(var))
 
 
 def ratio_gaussian(
@@ -237,7 +228,7 @@ def _nominal_linearisation(
             "keep the clock bias in the pseudoranges"
         )
     rho = geometry.nominal_pseudoranges(geometry.true_ranges(g), nm).rho
-    spec = edm.spectrum(edm.centered_gram(g.satellites, rho), edm.ORDERING_MAGNITUDE)
+    spec = edm.spectrum(edm.centered_gram(g.satellites, rho))
     return rho, eigenvalue_sensitivities(spec, gram_sensitivities(rho))
 
 
@@ -262,7 +253,6 @@ def predict_q_distribution(
     return StatisticDistribution(
         mu_num=num.mu,
         sigma_num=num.sigma,
-        sigma_num_independent=num.sigma_independent,
         mu_den=mu_den,
         sigma_den=float(sigma_den),
         mu_q=ratio.mu,

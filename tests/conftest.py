@@ -35,14 +35,13 @@ def lambda_matrix_100k(mc100k):
     return mc100k.lambdas
 
 
-def dense_mp_eigenvalues(satellites, rho, ordering="magnitude", dps=40):
-    """All m + 1 eigenvalues of the literal -J D J / 2 at ``dps`` digits, ranked.
+def dense_mp_eigenvalues(satellites, rho, dps=40):
+    """All m + 1 eigenvalues of the literal -J D J / 2 at ``dps`` digits, ranked by magnitude.
 
     D is built entry by entry from the positions and the pseudoranges in
     mpmath and diagonalized with mpmath's dense symmetric solver, so this
     reference shares no numerics with the library (neither its float
-    pipeline nor its rank-5 reductions). ``ordering`` is "magnitude" or
-    "algebraic"; both keep signed values.
+    pipeline nor its rank-5 reductions). Signed values are kept.
     """
     with mpmath.workdps(dps):
         m = len(rho)
@@ -58,5 +57,4 @@ def dense_mp_eigenvalues(satellites, rho, ordering="magnitude", dps=40):
             D[0, a + 1] = D[a + 1, 0] = mpmath.mpf(rho[a]) ** 2
         J = mpmath.eye(n) - mpmath.ones(n, n) / n
         E = mpmath.eigsy(-J * D * J / 2, eigvals_only=True)
-        key = (lambda x: -x) if ordering == "algebraic" else (lambda x: -abs(x))
-        return sorted((E[i] for i in range(n)), key=key)
+        return sorted((E[i] for i in range(n)), key=lambda x: -abs(x))

@@ -40,6 +40,13 @@ def run(argv):
     return main(argv)
 
 
+def fresh_env():
+    """The environment for a fresh interpreter that imports this checkout's edmdetect."""
+    src = str(Path(edmdetect.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def nonzero_count(w):
     """Number of eigenvalues above the prediction's gap floor, as the audit counts."""
     w = np.abs(w)
@@ -87,9 +94,8 @@ class TestSimulate:
         out = tmp_path / "run"
         assert run(["simulate", "--trials", "200", "--out", str(out)]) == EXIT_OK
         doc = json.loads((out / "summary.json").read_text())
-        assert doc["ordering"] == "magnitude"
-        assert doc["q_alt"]["ordering"] == "algebraic"
-        assert doc["q_alt"]["mean"] is not None
+        assert doc["ordering"] == doc["predicted"]["ordering"] == "magnitude"
+        assert "q_alt" not in doc
 
 
 class TestPredict:
@@ -336,6 +342,21 @@ class TestConfigHandling:
         assert "positive" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("radius", [".inf", ".nan"])
+    def test_non_finite_orbit_radius_is_one_line_geometry_error(self, tmp_path, radius):
+        # A fresh interpreter, so that any RuntimeWarning reaches stderr too.
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"constellation: {{orbit_radius_m: {radius}}}\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "edmdetect.cli", "predict", "--config", str(cfg),
+             "--out", str(tmp_path / "o")],
+            env=fresh_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.startswith("error (geometry): ") and proc.stderr.count("\n") == 1
+        assert "orbit radius" in proc.stderr
+        assert not (tmp_path / "o").exists()
+
     def test_exit_codes_are_distinct(self):
         assert len({EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_AUDIT}) == 4
 
@@ -369,12 +390,9 @@ print(json.dumps(seen))
         tmp = tmp_path_factory.mktemp("imports")
         cfg = tmp / "config.yaml"
         cfg.write_text("sigma_v: 3.0\n")
-        src = str(Path(edmdetect.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run(
             [sys.executable, "-c", self.SCRIPT, str(tmp), str(cfg)],
-            env=env, capture_output=True, text=True, timeout=120,
+            env=fresh_env(), capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -404,12 +422,9 @@ def test_simulate_does_not_import_numpy_ma(tmp_path):
         "assert cli.main(['simulate', '--trials', '2000', '--out', sys.argv[1]]) == 0\n"
         "print('numpy.ma' in sys.modules)\n"
     )
-    src = str(Path(edmdetect.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-c", script, str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=fresh_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "False"
@@ -432,6 +447,16 @@ class TestReadmeMatchesCli:
         (example,) = re.findall(r"```yaml\n(.*?)```", self.text, flags=re.S)
         keys = re.findall(r"^(?:# )?(\w+):", example, flags=re.M)
         assert sorted(keys) == sorted({*GEOMETRY_KEYS, *NOISE_KEYS, *_RUN_KEYS})
+
+    def test_prediction_key_list_matches_what_predict_writes(self, tmp_path):
+        (listed,) = re.findall(r"`prediction\.json` — keys `([^`]*)`", self.text)
+        nested = dict(re.findall(r"(\w+)\{([^}]*)\}", listed))
+        top = re.sub(r"\{[^}]*\}", "", listed)
+        assert main(["predict", "--out", str(tmp_path)]) == EXIT_OK
+        doc = json.loads((tmp_path / "prediction.json").read_text())
+        assert sorted(re.findall(r"\w+", top)) == sorted(doc)
+        assert list(nested) == ["thresholds"]
+        assert sorted(re.findall(r"\w+", nested["thresholds"])) == sorted(doc["thresholds"])
 
 
 class TestLazyFormatTables:

@@ -20,7 +20,7 @@ from edmdetect import (
     test_statistic as q_statistic,
     true_ranges,
 )
-from edmdetect.edm import ORDERING_ALGEBRAIC, ORDERING_MAGNITUDE, _order_indices, _row_sum
+from edmdetect.edm import ORDERING_MAGNITUDE, _order_indices, _row_sum
 
 RNG = np.random.default_rng(2024)
 
@@ -121,13 +121,14 @@ class TestGramCentered:
     def test_consistent_case_has_three_nonzero_eigenvalues(self, scenario12):
         # Noiseless, zero-bias: the centered Gram collapses to rank 3.
         d = true_ranges(scenario12)
-        w = spectrum(centered_gram(scenario12.satellites, d), ORDERING_MAGNITUDE).eigenvalues
+        w = spectrum(centered_gram(scenario12.satellites, d)).eigenvalues
         n_nonzero = int(np.sum(np.abs(w) > 1e-9 * np.abs(w).max()))
         assert n_nonzero == 3
 
 
 @pytest.mark.parametrize("lead", [(1,), (5,), (2, 3)])
-@pytest.mark.parametrize("ordering", [ORDERING_ALGEBRAIC, ORDERING_MAGNITUDE])
+# Magnitude is the one ranking; the parameter keeps the test ids.
+@pytest.mark.parametrize("ordering", [ORDERING_MAGNITUDE])
 def test_batched_gram_and_ordering_match_rowwise(scenario12, noise_default, lead, ordering):
     # A stack of pseudorange vectors must give, bit for bit, the matrices
     # built one vector at a time; likewise for the eigenvalue ranking.
@@ -138,8 +139,8 @@ def test_batched_gram_and_ordering_match_rowwise(scenario12, noise_default, lead
     assert np.array_equal(block, np.reshape(rows, block.shape))
     # Small integers force ties, including +/- pairs under magnitude ranking.
     w = RNG.integers(-3, 4, size=lead + (9,)).astype(float)
-    idx = _order_indices(w, ordering)
-    rows = [_order_indices(r, ordering) for r in w.reshape(-1, 9)]
+    idx = _order_indices(w)
+    rows = [_order_indices(r) for r in w.reshape(-1, 9)]
     assert np.array_equal(idx, np.reshape(rows, idx.shape))
 
 
@@ -205,16 +206,7 @@ class TestSpectrum:
 
     def test_ordering_definitions(self):
         M = np.diag([5.0, -2.0, 1.0])
-        np.testing.assert_array_equal(
-            spectrum(M, ORDERING_ALGEBRAIC).eigenvalues, [5.0, 1.0, -2.0]
-        )
-        np.testing.assert_array_equal(
-            spectrum(M, ORDERING_MAGNITUDE).eigenvalues, [5.0, -2.0, 1.0]
-        )
-
-    def test_unknown_ordering(self):
-        with pytest.raises(ValueError, match="ordering"):
-            spectrum(np.eye(3), "bogus")
+        np.testing.assert_array_equal(spectrum(M).eigenvalues, [5.0, -2.0, 1.0])
 
     def test_nonfinite_input(self):
         M = np.eye(4)
@@ -257,7 +249,6 @@ class TestTestStatistic:
         s = GramSpectrum(
             eigenvalues=np.array([10.0, 8.0, 6.0, 1.0, 1.0, 0.0]),
             eigenvectors=np.eye(6),
-            ordering=ORDERING_MAGNITUDE,
         )
         assert q_statistic(s) == pytest.approx(0.1, rel=1e-15)
 

@@ -79,6 +79,13 @@ class TestGenerateConstellation:
         with pytest.raises(GeometryError):
             generate_constellation(**kwargs)
 
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf")])
+    def test_non_finite_orbit_radius_refused(self, radius):
+        # ConstellationSamplingError is a GeometryError too; the match tells
+        # the radius check from a rejection loop that placed no satellite.
+        with pytest.raises(GeometryError, match="orbit radius"):
+            generate_constellation(12, 10.0, orbit_radius_m=radius, seed=1)
+
     def test_elevation_angles_match_oracle(self):
         g = generate_constellation(10, 20.0, seed=5)
         expected = [elevation_oracle(g.receiver, s) for s in g.satellites]

@@ -29,14 +29,13 @@ from edmdetect import (
     true_ranges,
 )
 from edmdetect import centered_gram_eigvals, montecarlo
-from edmdetect.edm import ORDERING_ALGEBRAIC, ORDERING_MAGNITUDE, _order_indices
+from edmdetect.edm import _order_indices
 from edmdetect.montecarlo import (
     _BLOCK,
     _ERFC,
     _SQRT2,
     SimulationSummary,
     TrialBatch,
-    _exceeds,
     _fd_bin_count,
     _jacobi_eigenvalues,
     _ks_statistic,
@@ -60,20 +59,20 @@ GOLDEN_PROVENANCE = {
 }
 
 
-def q_of_sample(scenario, sample, ordering="magnitude"):
-    return q_statistic(spectrum(centered_gram(scenario.satellites, sample.rho), ordering))
+def q_of_sample(scenario, sample):
+    return q_statistic(spectrum(centered_gram(scenario.satellites, sample.rho)))
 
 
 def synthetic_batch(qs, lams=None):
     qs = np.asarray(qs, dtype=float)
     if lams is None:
         lams = np.zeros((qs.shape[0], 5))
-    return TrialBatch(q=qs, lambdas=lams, exceeded=None, q_alt=qs)
+    return TrialBatch(q=qs, lambdas=lams, exceeded=None)
 
 
 def gaussian_dist(mu, sigma):
     return StatisticDistribution(
-        mu_num=0.0, sigma_num=0.0, sigma_num_independent=0.0,
+        mu_num=0.0, sigma_num=0.0,
         mu_den=1.0, sigma_den=0.0, mu_q=mu, sigma_q=sigma,
         covariance_num_den=0.0, validity_warnings=(),
     )
@@ -100,7 +99,7 @@ def summarize_reference(batch, dist, threshold=None):
     degenerate = q_std == 0.0 or dist.sigma_q == 0.0
     edges = np.histogram_bin_edges(qs, bins=_fd_bin_count(qs))
     if threshold is not None:
-        rate = float(np.mean(_exceeds(qs, threshold)))
+        rate = float(np.mean(qs > threshold))
     elif batch.exceeded is not None:
         rate = float(np.mean(batch.exceeded))
     else:
@@ -125,8 +124,6 @@ def summarize_reference(batch, dist, threshold=None):
         correlation=corr,
         degenerate=degenerate,
         predicted=dist,
-        q_alt_mean=float(batch.q_alt.mean()),
-        q_alt_std=float(batch.q_alt.std(ddof=1)),
     )
 
 
@@ -211,10 +208,6 @@ class TestRunTrials:
         assert batch.exceeded is not None
         assert batch.exceeded.dtype == bool
         assert np.array_equal(batch.exceeded, batch.q > 0.0)
-        lo, hi = batch.q.min() - 1.0, batch.q.max() + 1.0
-        batch_band = run_trials(small_scenario, nm, 64, 5, threshold=(lo, hi))
-        assert batch_band.exceeded.shape == (64,)
-        assert not batch_band.exceeded.any()
 
     @pytest.mark.parametrize("bad", [0, -3])
     def test_requires_positive_trial_count(self, small_scenario, bad):
@@ -242,15 +235,6 @@ class TestRunTrials:
         nm = NoiseModel(sigma_v=3.0, bias_b=-float(np.median(d)))
         with pytest.raises(ValueError, match="positive"):
             run_trials(small_scenario, nm, 10, 1)
-
-    def test_alt_ordering_statistic_recorded(self, small_scenario):
-        nm = NoiseModel(sigma_v=3.0, bias_b=1.0e5)
-        batch = run_trials(small_scenario, nm, 8, 3)
-        assert batch.q_alt.shape == (8,)
-        # Under the algebraic ordering position 5 sits in the zero cluster,
-        # so the two statistics differ only through the small fifth value.
-        assert np.all(batch.q != batch.q_alt)
-        assert np.all(np.abs(batch.q - batch.q_alt) / np.abs(batch.q) < 0.05)
 
 
 class TestSummarize:
@@ -334,8 +318,7 @@ class TestSummarize:
         # The default run's prefixes (a prefix is a shorter run, bit for
         # bit), across the _BLOCK boundaries of the chunked reductions.
         dist = predict_q_distribution(scenario12, noise_default)
-        batch = TrialBatch(q=mc100k.q[:n], lambdas=mc100k.lambdas[:n], exceeded=None,
-                           q_alt=mc100k.q_alt[:n])
+        batch = TrialBatch(q=mc100k.q[:n], lambdas=mc100k.lambdas[:n], exceeded=None)
         assert_same_bits(summarize(batch, dist), summarize_reference(batch, dist))
 
     @pytest.mark.parametrize("edge", ["constant_lambda5_0.5", "constant_lambda5_0.1",
@@ -510,8 +493,7 @@ class TestWriters:
         rng = np.random.default_rng(3)
         qs = rng.normal(0.5, 0.05, size=200)
         lams = rng.normal(size=(200, 5))
-        q_alt = rng.normal(0.5, 0.05, size=200)
-        batch = TrialBatch(q=qs, lambdas=lams, exceeded=qs > 0.55, q_alt=q_alt)
+        batch = TrialBatch(q=qs, lambdas=lams, exceeded=qs > 0.55)
         return batch, summarize(batch, gaussian_dist(0.5, 0.05))
 
     def test_writers_match_golden_files(self, tmp_path):
@@ -549,8 +531,7 @@ class TestWriters:
         lams = rng.normal(size=(n, 5)) * 1e12
         exceeded = q > 0.55 if with_exceeded else None
         path = tmp_path / "trials.csv"
-        write_trials_csv(TrialBatch(q=q, lambdas=lams, exceeded=exceeded, q_alt=q), path,
-                         {"trials": n})
+        write_trials_csv(TrialBatch(q=q, lambdas=lams, exceeded=exceeded), path, {"trials": n})
         assert path.read_bytes() == self.one_shot_trials_csv(q, lams, exceeded)
 
     @pytest.mark.parametrize("with_exceeded", [True, False])
@@ -570,8 +551,7 @@ class TestWriters:
         q, lams = cells[:, 0].copy(), cells[:, 1:].copy()
         exceeded = q > 0.55 if with_exceeded else None
         path = tmp_path / "trials.csv"
-        write_trials_csv(TrialBatch(q=q, lambdas=lams, exceeded=exceeded, q_alt=q), path,
-                         {"trials": n})
+        write_trials_csv(TrialBatch(q=q, lambdas=lams, exceeded=exceeded), path, {"trials": n})
         assert path.read_bytes() == self.one_shot_trials_csv(q, lams, exceeded)
 
     def test_trials_csv_columns(self, tmp_path):
@@ -624,7 +604,7 @@ def test_trial_block_matches_plain_pipeline(small_scenario):
     nm = NoiseModel(sigma_v=3.0, bias_b=1.0e5)
     d = true_ranges(small_scenario)
     key = noise_key(21)
-    q, lams, _ = _trial_block(small_scenario.satellites, d, nm.sigma_v, nm.bias_b, key, 0, 5)
+    q, lams = _trial_block(small_scenario.satellites, d, nm.sigma_v, nm.bias_b, key, 0, 5)
     b = nm.bias_b
     for t in range(5):
         v = block_noise(key, 0, t + 1, small_scenario.m, nm.sigma_v)[t]
@@ -649,11 +629,9 @@ def test_run_trials_is_the_public_kernel_ranked(m, n, workers):
         for b in range(-(-n // _BLOCK))
     ])
     w = centered_gram_eigvals(g.satellites, rho)
-    main = np.take_along_axis(w, _order_indices(w, ORDERING_MAGNITUDE), axis=-1)
-    alt = np.take_along_axis(w, _order_indices(w, ORDERING_ALGEBRAIC), axis=-1)
+    main = np.take_along_axis(w, _order_indices(w), axis=-1)
     assert np.array_equal(batch.lambdas, main[:, :5])
     assert np.array_equal(batch.q, (main[:, 3] + main[:, 4]) / (2.0 * main[:, 0]))
-    assert np.array_equal(batch.q_alt, (alt[:, 3] + alt[:, 4]) / (2.0 * alt[:, 0]))
 
 
 def _traced_peak(fn) -> int:
@@ -677,7 +655,7 @@ def test_trial_loop_and_writer_memory_stays_flat(scenario12, noise_default, tmp_
         batches = []
         peak = _traced_peak(lambda: batches.append(run_trials(scenario12, noise_default, n, 3)))
         (batch,) = batches
-        extra[n] = peak - batch.q.nbytes - batch.lambdas.nbytes - batch.q_alt.nbytes
+        extra[n] = peak - batch.q.nbytes - batch.lambdas.nbytes
         writer[n] = _traced_peak(lambda: write_trials_csv(batch, tmp_path / "trials.csv"))
     assert extra[65536] - extra[8192] <= 256 * 1024, extra
     assert writer[65536] - writer[8192] <= 256 * 1024, writer
@@ -691,8 +669,7 @@ def test_summarize_memory_is_one_four_row_buffer(scenario12, noise_default):
     # than the one-shot expressions.
     dist = predict_q_distribution(scenario12, noise_default)
     batch = run_trials(scenario12, noise_default, 65_536, 3)
-    small = TrialBatch(q=batch.q[:8192], lambdas=batch.lambdas[:8192], exceeded=None,
-                       q_alt=batch.q_alt[:8192])
+    small = TrialBatch(q=batch.q[:8192], lambdas=batch.lambdas[:8192], exceeded=None)
     summarize(small, dist)  # first-use costs
     summarize_reference(small, dist)
     assert _traced_peak(lambda: summarize(batch, dist)) <= 3.0e6
@@ -722,7 +699,7 @@ def test_trial_kernel_matches_extended_precision_oracle(request, scenario, k):
     nm = NoiseModel(sigma_v=3.0, bias_b=1.0e5)
     d = true_ranges(g)
     key = noise_key(7)
-    q, lams, q_alt = _trial_block(g.satellites, d, nm.sigma_v, nm.bias_b, key, 0, k)
+    q, lams = _trial_block(g.satellites, d, nm.sigma_v, nm.bias_b, key, 0, k)
     rho = d + nm.bias_b + block_noise(key, 0, k, g.m, nm.sigma_v)
     with mpmath.workdps(40):
         for t in range(k):
@@ -731,15 +708,12 @@ def test_trial_kernel_matches_extended_precision_oracle(request, scenario, k):
             assert abs(float(q[t]) - q_ref) <= 1e-13 * abs(q_ref), t
             for i in range(5):
                 assert abs(float(lams[t, i]) - ref[i]) <= 1e-9 * abs(ref[i]), (t, i)
-    # Under algebraic ranking position 5 is the zero cluster, exactly, and
-    # positions 1-4 are the magnitude ones: q_alt is lambda4 / (2 lambda1).
-    assert np.array_equal(q_alt, lams[:, 3] / (2.0 * lams[:, 0]))
 
 
 @pytest.mark.parametrize("scenario", ["small_scenario", "scenario12", "scenario30",
                                       "coplanar_scenario"])
 # The oracle ranks by magnitude, the ranking of q; the dense reference is
-# ranked the same way.
+# ranked the same way. The parameter keeps the test ids.
 @pytest.mark.parametrize("ordering", ["magnitude"])
 def test_mp_centering_matches_literal_projection(request, scenario, ordering):
     # The audit's rank-5 oracle against the dense reference, the literal
@@ -757,8 +731,8 @@ def test_mp_centering_matches_literal_projection(request, scenario, ordering):
     rho = true_ranges(g) + nm.bias_b + block_noise(noise_key(3), 0, 1, g.m, 3.0)[0]
     got = _rank5_oracle(g.satellites)([Decimal(float(x)) for x in rho])
     assert len(got) == g.m + 1
-    ref = dense_mp_eigenvalues(g.satellites, rho, ordering)
-    ref60 = dense_mp_eigenvalues(g.satellites, rho, ordering, dps=60)
+    ref = dense_mp_eigenvalues(g.satellites, rho)
+    ref60 = dense_mp_eigenvalues(g.satellites, rho, dps=60)
     with mpmath.workdps(60):
         got = [mpmath.mpf(str(x)) for x in got]
         scale = max(abs(x) for x in ref60)

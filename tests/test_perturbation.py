@@ -107,10 +107,10 @@ def derivative_stack(rho):
     return -rho[:, None, None] * (outer + np.swapaxes(outer, 1, 2))
 
 
-def nominal_pipeline(scenario, nm, ordering=ORDERING_MAGNITUDE):
+def nominal_pipeline(scenario, nm):
     d = true_ranges(scenario)
     rho = nominal_pseudoranges(d, nm).rho
-    return rho, spectrum(centered_gram(scenario.satellites, rho), ordering)
+    return rho, spectrum(centered_gram(scenario.satellites, rho))
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +171,6 @@ def diag_spectrum(values):
     return GramSpectrum(
         eigenvalues=np.array(values, dtype=float),
         eigenvectors=np.eye(n),
-        ordering=ORDERING_MAGNITUDE,
     )
 
 
@@ -221,7 +220,6 @@ class TestEigenvalueSensitivities:
         scaled = GramSpectrum(
             eigenvalues=spec.eigenvalues,
             eigenvectors=spec.eigenvectors * 3.0,
-            ordering=spec.ordering,
         )
         a = eigenvalue_sensitivities(spec, gs).s
         b = eigenvalue_sensitivities(scaled, gs).s
@@ -272,7 +270,6 @@ class TestNumeratorMoments:
         table = self.make_table([1.0, -2.0, 0.5], [-1.0, 2.0, -0.5])
         mom = numerator_moments(table, 2.0, -1.0, 3.0)
         assert mom.sigma == 0.0
-        assert mom.sigma_independent > 0.0
 
     def test_matches_monte_carlo(self, scenario12, noise_default, lambda_matrix_100k):
         rho, spec = nominal_pipeline(scenario12, noise_default)
@@ -388,7 +385,7 @@ class TestDetectionThreshold:
     @staticmethod
     def make_dist(mu=2.0, sigma=0.5):
         return StatisticDistribution(
-            mu_num=0.0, sigma_num=0.0, sigma_num_independent=0.0,
+            mu_num=0.0, sigma_num=0.0,
             mu_den=1.0, sigma_den=0.0, mu_q=mu, sigma_q=sigma,
             covariance_num_den=0.0, validity_warnings=(),
         )
