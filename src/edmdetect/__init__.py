@@ -34,10 +34,8 @@ from .geometry import (
     true_ranges,
 )
 from .montecarlo import (
-    FiniteDifferenceAudit,
     SimulationSummary,
     TrialBatch,
-    finite_difference_audit,
     inject_fault,
     run_trials,
     summarize,
@@ -57,6 +55,16 @@ from .perturbation import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # The audit loads on first use, so `import edmdetect` never compiles it.
+    if name in ("FiniteDifferenceAudit", "finite_difference_audit"):
+        from . import audit
+
+        return getattr(audit, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ConfigError",

@@ -14,8 +14,6 @@ import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import edm, geometry, montecarlo, perturbation
 from .errors import ConfigError, DegenerateEigenvalueError, GeometryError, SpectrumError
 
@@ -32,12 +30,6 @@ _RUN_KEYS = {
     "p_fa": (float, 0.01),
     "out": (str, "out"),
 }
-
-# Tolerance and fixed step of `audit`'s FD row. The FD oracle runs at 40
-# digits, so the step adds only truncation error: at 1e-6 m the discrepancy
-# moves by under 0.1% (m = 5, 12 and 30); at 1 m it grows.
-AUDIT_FD_TOL = 1e-4
-AUDIT_FD_STEP = 1e-3
 
 
 @dataclass
@@ -154,33 +146,11 @@ def cmd_predict(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _audit_checks(cfg: RunConfig) -> list[tuple[str, float, float, bool]]:
-    """(name, value, tolerance, passed) rows for every audit check.
-
-    The rank rows count the non-zero eigenvalues the trial kernel gives for
-    noiseless pseudoranges, without and with the clock bias, above the
-    prediction's own gap floor (GAP_TOL_REL_DEFAULT of the largest magnitude).
-    """
-    geom, nm = build_scenario(cfg)
-    fd = montecarlo.finite_difference_audit(geom, nm, AUDIT_FD_STEP)
-    err = fd.max_relative_discrepancy
-    rows = [(f"finite-difference max relative discrepancy (h={AUDIT_FD_STEP} m)",
-             err, AUDIT_FD_TOL, err <= AUDIT_FD_TOL)]
-    d = geometry.true_ranges(geom)
-    for name, rho, rank in (
-        ("rank collapse: non-zero eigenvalues, zero bias, no noise", d, 3),
-        ("bias activation: non-zero eigenvalues with bias, no noise",
-         geometry.nominal_pseudoranges(d, nm).rho, 5),
-    ):
-        w = np.abs(edm.centered_gram_eigvals(geom.satellites, rho))
-        count = int(np.sum(w > perturbation.GAP_TOL_REL_DEFAULT * w.max()))
-        rows.append((name, float(count), float(rank), count == rank))
-    return rows
-
-
 def cmd_audit(cfg: RunConfig) -> int:
     """Run the finite-difference and rank-structure audits; nonzero exit on failure."""
-    rows = _audit_checks(cfg)
+    from . import audit  # only this command compiles the audit
+
+    rows = audit.run_checks(*build_scenario(cfg))
     all_ok = True
     for name, value, tol, ok in rows:
         status = "PASS" if ok else "FAIL"

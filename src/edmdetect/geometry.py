@@ -213,6 +213,14 @@ def elevation_angles(g: ScenarioGeometry) -> np.ndarray:
     return np.degrees(np.arcsin(np.clip(sin_el, -1.0, 1.0)))
 
 
+def _checked_ranges(d: np.ndarray) -> np.ndarray:
+    """``d`` as floats; a NaN fails both comparisons, an infinity one of them."""
+    d = np.asarray(d, dtype=float)
+    if not np.all((0 < d) & (d < np.inf)):
+        raise GeometryError("true ranges must all be positive and finite")
+    return d
+
+
 def sample_pseudoranges(
     d: np.ndarray,
     nm: NoiseModel,
@@ -222,9 +230,7 @@ def sample_pseudoranges(
 
     ``v`` is i.i.d. N(0, sigma_v^2); the draw is deterministic per seed.
     """
-    d = np.asarray(d, dtype=float)
-    if np.any(d <= 0):
-        raise GeometryError("true ranges must all be positive")
+    d = _checked_ranges(d)
     rng = np.random.default_rng(seed)
     v = rng.normal(0.0, nm.sigma_v, size=d.shape[0])
     b = nm.bias_b
@@ -233,9 +239,7 @@ def sample_pseudoranges(
 
 def nominal_pseudoranges(d: np.ndarray, nm: NoiseModel) -> PseudorangeSample:
     """The exact noiseless sample rho = d + clock bias (v = 0)."""
-    d = np.asarray(d, dtype=float)
-    if np.any(d <= 0):
-        raise GeometryError("true ranges must all be positive")
+    d = _checked_ranges(d)
     b = nm.bias_b
     return PseudorangeSample(rho=d + b, d_true=d, b_effective=b, v=np.zeros_like(d))
 

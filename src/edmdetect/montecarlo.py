@@ -6,46 +6,37 @@ distribution with the first-order prediction. Trials run in fixed blocks of
 1024; block b draws the noise of all its trials in one call from a Philox
 counter-based stream keyed on the master seed with counter b (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC'11). Trial t's noise thus
-depends only on (master_seed, t): results are bit-identical for any worker
-count, and a short run is a bit-exact prefix of a longer one. Each trial's
-spectrum comes from the rank-5 Rayleigh-Ritz kernel of
-edm.centered_gram_eigvals: O(m) work and a 5x5 eigensolve per trial instead
-of building and solving the (m+1)x(m+1) centered Gram matrix. run_trials
-builds the geometry's factors once (edm.Rank5Factors), runs every block
-through edm.rank5_eigvals in one reused, feature-major workspace, and fills
-its preallocated result columns in place; the values are bit for bit those
-of centered_gram_eigvals. The finite-difference audit's
-reference side applies the same rank-5 reduction in 40-digit decimal
-arithmetic (the stdlib's C-backed decimal module), from the positions alone:
-one 5x5 cyclic Jacobi solve per perturbed spectrum.
+depends only on (master_seed, t), and a short run is a bit-exact prefix of
+a longer one. Each trial's spectrum comes from the rank-5 Rayleigh-Ritz
+kernel of edm.centered_gram_eigvals: O(m) work and a 5x5 eigensolve per
+trial instead of building and solving the (m+1)x(m+1) centered Gram matrix.
+run_trials builds the geometry's factors once (edm.Rank5Factors), runs
+every block through edm.rank5_eigvals in one reused, feature-major
+workspace, and fills its preallocated result columns in place; the values
+are bit for bit those of centered_gram_eigvals.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, replace
-from decimal import Context, Decimal, getcontext, localcontext
 from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from . import edm, geometry, perturbation
+from . import edm, geometry
 from .errors import SpectrumError
 from .perturbation import StatisticDistribution
 
-# Trials are processed in fixed-size blocks so that batching (and the split
-# across workers) never depends on the worker count.
+# Trials are processed in fixed-size blocks, so trial t's noise never depends
+# on the run length.
 _BLOCK = 1024
 
 # One-sample Kolmogorov-Smirnov critical values D = c(alpha) / (sqrt(n) +
 # 0.12 + 0.11/sqrt(n)) (Stephens' finite-n form of the asymptotic table).
 KS_COEFF = {0.05: 1.358, 0.01: 1.628}
-
-# Admissible central-difference steps h of the finite-difference audit.
-FD_STEP_RANGE_M = (1e-6, 1.0)
 
 _CORRELATION_LABELS = ("lambda1", "lambda4", "lambda5", "lambda4+lambda5")
 
@@ -131,51 +122,6 @@ def block_noise(key: np.ndarray, block: int, k: int, m: int, sigma_v: float) -> 
     return rng.normal(0.0, sigma_v, (k, m))
 
 
-def _trial_block(
-    satellites: np.ndarray,
-    d: np.ndarray,
-    sigma_v: float,
-    bias_b: float,
-    key: np.ndarray,
-    block: int,
-    k: int,
-    factors: edm.Rank5Factors | None = None,
-    out: tuple[np.ndarray, np.ndarray] | None = None,
-    ws: edm.Rank5Workspace | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run the first k trials of a block into out = (q, first-5 eigenvalues).
-
-    The eigenvalues rank by magnitude. ``factors`` are the kernel's
-    edm.Rank5Factors(satellites), which run_trials builds once per run;
-    ``out`` holds the block's rows of the run's columns and ``ws`` the
-    kernel's buffers. Each is made here when not given.
-    """
-    m = d.shape[0]
-    if factors is None:
-        factors = edm.Rank5Factors(satellites)
-    if ws is None:
-        ws = edm.Rank5Workspace(m, k)
-    if out is None:
-        out = (np.empty(k), np.empty((k, 5)))
-    q, lambdas = out
-    rho = ws.rho[:, :k]
-    np.add((d + bias_b)[:, None], block_noise(key, block, k, m, sigma_v).T, out=rho)
-    # Columns 5.. of the spectrum are exact zeros, so ranking the five Ritz
-    # values with one of them gives the same first five values as ranking
-    # all m + 1.
-    w = edm.rank5_eigvals(factors, rho, ws)
-    w = np.take_along_axis(w, edm._order_indices(w), axis=-1)
-    lam1 = w[:, 0]
-    bad = np.flatnonzero(lam1 == 0.0)
-    if bad.size:
-        raise SpectrumError(
-            f"trial {block * _BLOCK + int(bad[0])}: leading eigenvalue is zero (degenerate geometry)"
-        )
-    np.divide(w[:, 3] + w[:, 4], 2.0 * lam1, out=q)
-    lambdas[...] = w[:, :5]
-    return out
-
-
 def run_trials(
     g: geometry.ScenarioGeometry,
     nm: geometry.NoiseModel,
@@ -187,36 +133,38 @@ def run_trials(
     """Run ``n_trials`` independent noisy trials at a fixed geometry.
 
     When the one-sided upper ``threshold`` is given, the batch carries an
-    exceedance flag per trial, q > threshold. ``workers`` > 1 fans the
-    fixed-size trial blocks out to a process pool; outputs are identical
-    for any worker count. The geometry's kernel factors are built
-    once; the serial path then fills the result columns block by block in
-    place, through one set of kernel buffers.
+    exceedance flag per trial, q > threshold. The geometry's kernel factors
+    are built once; the result columns are then filled block by block in
+    place, through one set of kernel buffers. ``workers`` is ignored: every
+    block runs in this process. It stays only until the benchmark's
+    two-worker loop (perfbench/layers.py) is dropped.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     if master_seed < 0:
         raise ValueError("master_seed must be non-negative")
-    d = geometry.true_ranges(g)
+    nominal = (geometry.true_ranges(g) + nm.bias_b)[:, None]
     key = noise_key(master_seed)
     factors = edm.Rank5Factors(g.satellites)
     q, lambdas = np.empty(n_trials), np.empty((n_trials, 5))
-    rows = [slice(start, min(start + _BLOCK, n_trials)) for start in range(0, n_trials, _BLOCK)]
-    args = [
-        (g.satellites, d, nm.sigma_v, nm.bias_b, key, block, sl.stop - sl.start)
-        for block, sl in enumerate(rows)
-    ]
-    if workers <= 1 or len(args) == 1:
-        ws = edm.Rank5Workspace(g.m, args[0][-1])
-        for a, sl in zip(args, rows):
-            _trial_block(*a, factors, out=(q[sl], lambdas[sl]), ws=ws)
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # only worker pools need it
-
-        blocks = functools.partial(_trial_block, factors=factors)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for sl, block in zip(rows, pool.map(blocks, *zip(*args))):
-                q[sl], lambdas[sl] = block
+    ws = edm.Rank5Workspace(g.m, min(_BLOCK, n_trials))
+    for block, start in enumerate(range(0, n_trials, _BLOCK)):
+        k = min(_BLOCK, n_trials - start)
+        rho = ws.rho[:, :k]
+        np.add(nominal, block_noise(key, block, k, g.m, nm.sigma_v).T, out=rho)
+        # Columns 5.. of the spectrum are exact zeros, so ranking the five
+        # Ritz values with one of them gives the same first five values as
+        # ranking all m + 1.
+        w = edm.rank5_eigvals(factors, rho, ws)
+        w = np.take_along_axis(w, edm._order_indices(w), axis=-1)
+        lam1 = w[:, 0]
+        bad = np.flatnonzero(lam1 == 0.0)
+        if bad.size:
+            raise SpectrumError(
+                f"trial {start + int(bad[0])}: leading eigenvalue is zero (degenerate geometry)"
+            )
+        np.divide(w[:, 3] + w[:, 4], 2.0 * lam1, out=q[start : start + k])
+        lambdas[start : start + k] = w[:, :5]
     exceeded = q > threshold if threshold is not None else None
     return TrialBatch(q=q, lambdas=lambdas, exceeded=exceeded)
 
@@ -424,205 +372,21 @@ def inject_fault(
     """
     if not 0 <= sat_index < sample.m:
         raise IndexError(f"sat_index {sat_index} outside 0..{sample.m - 1}")
+    if not math.isfinite(fault_bias):
+        raise ValueError(f"fault_bias must be finite, got {fault_bias}")
     rho = sample.rho.copy()
     rho[sat_index] += fault_bias
     return replace(sample, rho=rho, fault_index=sat_index, fault_bias=fault_bias)
 
 
-# ---------------------------------------------------------------------------
-# Finite-difference audit
-# ---------------------------------------------------------------------------
+def __getattr__(name: str):
+    # perfbench/probe.py looks the audit up here by name to stamp the end of
+    # set-up; serve that one name from audit.py, which loads on first use.
+    if name == "finite_difference_audit":
+        from . import audit
 
-@dataclass
-class FiniteDifferenceAudit:
-    """Comparison of analytic sensitivities against central differences."""
-
-    h: float
-    positions: tuple[int, ...]
-    sensitivities: np.ndarray  # (len(positions), m)
-    finite_differences: np.ndarray  # (len(positions), m)
-    relative_discrepancy: np.ndarray  # (len(positions), m)
-    max_relative_discrepancy: float
-
-
-def relative_discrepancy(reference: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """|reference - other| / max(|reference|, 1), elementwise."""
-    reference = np.asarray(reference, dtype=float)
-    other = np.asarray(other, dtype=float)
-    return np.abs(reference - other) / np.maximum(np.abs(reference), 1.0)
-
-
-# The finite-difference oracle works in decimal floating point at this many
-# significant digits, whatever the caller's decimal context.
-_ORACLE_CONTEXT = Context(prec=40)
-
-# Cyclic Jacobi converges quadratically; 5x5 spectra take 4-5 sweeps.
-_JACOBI_MAX_SWEEPS = 60
-
-
-def _jacobi_eigenvalues(A: list[list[Decimal]]) -> list[Decimal]:
-    """Eigenvalues of a small symmetric Decimal matrix by cyclic Jacobi.
-
-    Works at the current decimal context's precision. Each rotation uses
-    Rutishauser's tau form and sets the annihilated pair to an exact zero;
-    Jacobi keeps high relative accuracy on the small eigenvalues (Demmel &
-    Veselic, SIAM J. Matrix Anal. Appl., 1992). Sweeps stop once the squared
-    off-diagonal Frobenius norm is at most (10^-(prec+2) max|A|)^2. The
-    eigenvalues come back unordered. Raises SpectrumError if
-    _JACOBI_MAX_SWEEPS sweeps do not get there.
-    """
-    n = len(A)
-    a = [list(row) for row in A]
-    scale = max(abs(x) for row in a for x in row)
-    tol = scale.scaleb(-(getcontext().prec + 2)) ** 2
-    sweeps = 0
-    while 2 * sum(a[p][q] ** 2 for p in range(n) for q in range(p + 1, n)) > tol:
-        if sweeps == _JACOBI_MAX_SWEEPS:
-            raise SpectrumError(f"Jacobi eigensolve did not converge in {sweeps} sweeps")
-        sweeps += 1
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p][q]
-                if not apq:
-                    continue
-                theta = (a[q][q] - a[p][p]) / (2 * apq)
-                t = 1 / (abs(theta) + (theta * theta + 1).sqrt())
-                if theta < 0:
-                    t = -t
-                c = 1 / (t * t + 1).sqrt()
-                s = t * c
-                tau = s / (1 + c)
-                a[p][p] -= t * apq
-                a[q][q] += t * apq
-                a[p][q] = a[q][p] = Decimal(0)
-                for r in range(n):
-                    if r != p and r != q:
-                        g, h = a[r][p], a[r][q]
-                        a[r][p] = a[p][r] = g - s * (h + g * tau)
-                        a[r][q] = a[q][r] = h + s * (g - h * tau)
-    return [a[i][i] for i in range(n)]
-
-
-def _rank5_oracle(satellites: np.ndarray):
-    """Extended-precision spectra of the centered Gram at a fixed geometry.
-
-    Returns ``eigenvalues(rho)``: the m + 1 eigenvalues of the centered Gram
-    built from Decimal pseudoranges ``rho``, ranked by magnitude.
-    Eigenvalue differences of order h * s sit ~9 decades below the matrix
-    norm, far inside double-precision eigensolver noise, so everything is
-    rebuilt in 40-digit decimal arithmetic (_ORACLE_CONTEXT, entered by the
-    oracle itself) from the positions and rho alone; no float intermediate
-    is reused.
-
-    The algebra is edm.centered_gram_eigvals' rank-5 identity
-    G_c = A A^T + 1/2 (u w^T + w u^T). An orthonormal basis of [A, u] comes
-    from Gram-Schmidt once; each rho adds the part of w outside it, of norm
-    beta. G_c on those five directions is the 5x5 H = R M R^T, where R holds
-    the coordinates of A, u and w and M = diag(I_3, [[0, 1/2], [1/2, 0]]);
-    its eigenvalues are the non-zero ones of G_c and the other m - 4 are
-    exact zeros. So each spectrum costs O(m) work and one 5x5 Jacobi solve
-    (_jacobi_eigenvalues), and neither D nor any (m+1) x (m+1) matrix is
-    formed.
-
-    Raises SpectrumError if a column of [A, u] has an exactly zero residual
-    on the columns before it (a rank-deficient A), so no basis exists.
-    """
-    m = satellites.shape[0]
-    n = m + 1
-    zero = Decimal(0)
-
-    def dot(x, y):
-        return sum(xi * yi for xi, yi in zip(x, y))
-
-    def project(basis, x):
-        """Coordinates of x on ``basis`` and the residual: two Gram-Schmidt passes."""
-        coef = [zero] * len(basis)
-        for _ in range(2):
-            for i, q in enumerate(basis):
-                t = dot(q, x)
-                coef[i] += t
-                x = [xi - t * qi for xi, qi in zip(x, q)]
-        return coef, x
-
-    with localcontext(_ORACLE_CONTEXT):
-        # Receiver slot at the origin: P = [0; S], A = J P, u = J e0.
-        P = [[zero] * 3] + [[Decimal(float(c)) for c in row] for row in satellites]
-        cols = []
-        for k in range(3):
-            mean = sum(p[k] for p in P) / n
-            cols.append([p[k] - mean for p in P])
-        cols.append([1 - Decimal(1) / n] + [-Decimal(1) / n] * m)
-        basis, coords = [], []
-        for k, c in enumerate(cols):
-            coef, r = project(basis, c)
-            norm = dot(r, r).sqrt()
-            if norm == 0:
-                raise SpectrumError(
-                    f"column {k} of [A, u] lies in the span of the columns before it, "
-                    "so the rank-5 basis does not exist (rank-deficient geometry)"
-                )
-            basis.append([ri / norm for ri in r])
-            coords.append(coef + [norm] + [zero] * (4 - k))
-        M0 = [[sum(coords[c][i] * coords[c][k] for c in range(3)) for k in range(5)]
-              for i in range(5)]
-        ut = coords[3]
-        sq = [dot(p, p) for p in P[1:]]
-
-    def eigenvalues(rho):
-        with localcontext(_ORACLE_CONTEXT):
-            v = [s2 - r * r for s2, r in zip(sq, rho)]
-            mean = sum(v) / n
-            a, r = project(basis, [-mean] + [vj - mean for vj in v])
-            a.append(dot(r, r).sqrt())
-            H = [[M0[i][k] + (ut[i] * a[k] + a[i] * ut[k]) / 2 for k in range(5)]
-                 for i in range(5)]
-            return sorted(_jacobi_eigenvalues(H) + [zero] * (m - 4), key=abs, reverse=True)
-
-    return eigenvalues
-
-
-def finite_difference_audit(
-    g: geometry.ScenarioGeometry,
-    nm: geometry.NoiseModel,
-    h: float,
-) -> FiniteDifferenceAudit:
-    """Audit the analytic sensitivities with a central-difference oracle.
-
-    For every tracked eigenvalue position i and satellite j the oracle value
-    is (lambda_i(v_j = +h) - lambda_i(v_j = -h)) / (2h) with each perturbed
-    spectrum recomputed from the positions in 40-digit arithmetic (see
-    _rank5_oracle). The analytic side is the nominal linearisation
-    the prediction uses. Discrepancies are relative with an absolute floor
-    of 1 m^2/m.
-    """
-    lo, hi = FD_STEP_RANGE_M
-    if not lo <= h <= hi:
-        raise ValueError(f"step h must lie in [{lo:g}, {hi:g}] m, got {h}")
-    rho, table = perturbation._nominal_linearisation(g, nm)
-
-    fd = np.empty(table.s.shape)
-    eigenvalues = _rank5_oracle(g.satellites)
-    with localcontext(_ORACLE_CONTEXT):
-        hd = Decimal(float(h))
-        rho_d = [Decimal(float(x)) for x in rho]
-        for j in range(g.m):
-            plus = list(rho_d)
-            plus[j] += hd
-            minus = list(rho_d)
-            minus[j] -= hd
-            w_plus = eigenvalues(plus)
-            w_minus = eigenvalues(minus)
-            for a, pos in enumerate(table.positions):
-                fd[a, j] = float((w_plus[pos - 1] - w_minus[pos - 1]) / (2 * hd))
-    rel = relative_discrepancy(table.s, fd)
-    return FiniteDifferenceAudit(
-        h=h,
-        positions=table.positions,
-        sensitivities=table.s,
-        finite_differences=fd,
-        relative_discrepancy=rel,
-        max_relative_discrepancy=float(rel.max()),
-    )
+        return audit.finite_difference_audit
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------

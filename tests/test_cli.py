@@ -363,15 +363,16 @@ class TestConfigHandling:
 
 class TestImportBudget:
     # scipy is not a dependency and mpmath only a test one, so no command may
-    # import either; PyYAML is for config files and the process pool only for
-    # library callers of run_trials(workers > 1), so no command without a
-    # config file loads either. A fresh interpreter is needed, since the test
-    # session imports them all.
+    # import either; PyYAML is for config files, the process pool for no
+    # command, and edmdetect.audit for `audit` alone, so no other command
+    # without a config file loads any of them. A fresh interpreter is needed,
+    # since the test session imports them all.
     SCRIPT = """
 import json, sys
 from edmdetect import cli
 def loaded():
-    return sorted({"scipy", "mpmath", "yaml", "concurrent.futures"} & set(sys.modules))
+    return sorted({"scipy", "mpmath", "yaml", "concurrent.futures", "edmdetect.audit"}
+                  & set(sys.modules))
 out, cfg = sys.argv[1:]
 seen = {"import": loaded()}
 assert cli.main(["predict", "--out", out]) == 0
@@ -406,10 +407,23 @@ print(json.dumps(seen))
             assert seen[command] == [], command
 
     def test_audit_does_not_load_mpmath(self, seen):
-        assert seen["audit"] == []
+        assert seen["audit"] == ["edmdetect.audit"]
 
     def test_config_run_still_loads_yaml(self, seen):
-        assert seen["config"] == ["yaml"]
+        # The audit module stays loaded from the run before.
+        assert seen["config"] == ["edmdetect.audit", "yaml"]
+
+    def test_package_import_leaves_the_audit_unloaded(self):
+        script = (
+            "import sys, edmdetect\n"
+            "assert 'edmdetect.audit' not in sys.modules\n"
+            "from edmdetect import FiniteDifferenceAudit, finite_difference_audit\n"
+            "print(finite_difference_audit.__module__, FiniteDifferenceAudit.__module__)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["edmdetect.audit", "edmdetect.audit"]
 
 
 def test_simulate_does_not_import_numpy_ma(tmp_path):

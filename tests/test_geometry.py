@@ -191,6 +191,16 @@ class TestSamplePseudoranges:
         with pytest.raises(GeometryError):
             sample_pseudoranges(np.array([1.0, -2.0, 3.0, 4.0, 5.0]), nm, seed=0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_ranges(self, bad):
+        # A NaN passes a plain d <= 0 test; both samplers must refuse it.
+        nm = NoiseModel(sigma_v=1.0, bias_b=0.0)
+        d = np.array([bad, 2e7, 2.1e7, 2.2e7, 2.3e7])
+        with pytest.raises(GeometryError, match="positive and finite"):
+            nominal_pseudoranges(d, nm)
+        with pytest.raises(GeometryError, match="positive and finite"):
+            sample_pseudoranges(d, nm, seed=0)
+
     def test_nominal_sample_is_exact(self, scenario12):
         d = true_ranges(scenario12)
         nm = NoiseModel(sigma_v=3.0, bias_b=1.0e5)

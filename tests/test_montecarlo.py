@@ -17,7 +17,6 @@ from edmdetect import (
     ScenarioGeometry,
     SpectrumError,
     centered_gram,
-    finite_difference_audit,
     generate_constellation,
     inject_fault,
     predict_q_distribution,
@@ -28,7 +27,13 @@ from edmdetect import (
     test_statistic as q_statistic,
     true_ranges,
 )
-from edmdetect import centered_gram_eigvals, montecarlo
+from edmdetect import audit, centered_gram_eigvals
+from edmdetect.audit import (
+    _jacobi_eigenvalues,
+    _rank5_oracle,
+    finite_difference_audit,
+    relative_discrepancy,
+)
 from edmdetect.edm import _order_indices
 from edmdetect.montecarlo import (
     _BLOCK,
@@ -37,14 +42,10 @@ from edmdetect.montecarlo import (
     SimulationSummary,
     TrialBatch,
     _fd_bin_count,
-    _jacobi_eigenvalues,
     _ks_statistic,
-    _rank5_oracle,
-    _trial_block,
     block_noise,
     ks_critical_value,
     noise_key,
-    relative_discrepancy,
     write_histogram_csv,
     write_summary_json,
     write_trials_csv,
@@ -178,15 +179,14 @@ class TestRunTrials:
         assert np.array_equal(short.q, long.q[:50])
 
     def test_trial_q_depends_only_on_seed_and_trial_index(self, small_scenario):
-        # Run length, block boundaries, worker count and seeds wider than the
-        # 128-bit Philox key change nothing about trial t's statistic.
+        # Run length, block boundaries and seeds wider than the 128-bit
+        # Philox key change nothing about trial t's statistic.
         nm = NoiseModel(sigma_v=3.0, bias_b=1.0e5)
         refs = []
         for seed in (13, 2**128 + 13):
             ref = run_trials(small_scenario, nm, 3000, seed)
             for n in (1023, 1024, 1025):
                 assert np.array_equal(run_trials(small_scenario, nm, n, seed).q, ref.q[:n])
-            assert np.array_equal(run_trials(small_scenario, nm, 3000, seed, workers=2).q, ref.q)
             refs.append(ref.q)
         assert not np.array_equal(refs[0], refs[1])
 
@@ -195,12 +195,6 @@ class TestRunTrials:
         batch = run_trials(small_scenario, nm, 1, 0)
         assert len(batch) == 1
         assert abs(batch.q[0]) <= 1e-12
-
-    def test_worker_count_does_not_change_results(self, small_scenario):
-        nm = NoiseModel(sigma_v=3.0, bias_b=1.0e5)
-        serial = run_trials(small_scenario, nm, 2100, 13, workers=1)
-        parallel = run_trials(small_scenario, nm, 2100, 13, workers=2)
-        assert np.array_equal(serial.q, parallel.q)
 
     def test_threshold_marking(self, small_scenario):
         nm = NoiseModel(sigma_v=3.0, bias_b=1.0e5)
@@ -393,6 +387,12 @@ class TestInjectFault:
             with pytest.raises(IndexError):
                 inject_fault(sample, bad, 100.0)
 
+    @pytest.mark.parametrize("bias", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_fault_bias_is_refused(self, small_scenario, bias):
+        sample = sample_pseudoranges(true_ranges(small_scenario), NoiseModel(3.0, 1e5), seed=2)
+        with pytest.raises(ValueError, match="finite"):
+            inject_fault(sample, 0, bias)
+
     def test_fault_commutes_with_satellite_permutation(self, small_scenario):
         nm = NoiseModel(sigma_v=3.0, bias_b=1.0e5)
         d = true_ranges(small_scenario)
@@ -473,13 +473,13 @@ class TestFiniteDifferenceAudit:
     def test_oracle_solves_only_5x5_matrices(self, monkeypatch, scenario12, noise_default):
         # Each perturbed spectrum costs one 5x5 Jacobi solve, never an (m+1)^2 one.
         shapes = []
-        solve = montecarlo._jacobi_eigenvalues
+        solve = audit._jacobi_eigenvalues
 
         def recording_solve(A):
             shapes.append((len(A), *{len(row) for row in A}))
             return solve(A)
 
-        monkeypatch.setattr(montecarlo, "_jacobi_eigenvalues", recording_solve)
+        monkeypatch.setattr(audit, "_jacobi_eigenvalues", recording_solve)
         finite_difference_audit(scenario12, noise_default, 1e-3)
         assert shapes == [(5, 5)] * (2 * scenario12.m)
 
@@ -604,7 +604,7 @@ def test_trial_block_matches_plain_pipeline(small_scenario):
     nm = NoiseModel(sigma_v=3.0, bias_b=1.0e5)
     d = true_ranges(small_scenario)
     key = noise_key(21)
-    q, lams = _trial_block(small_scenario.satellites, d, nm.sigma_v, nm.bias_b, key, 0, 5)
+    q = run_trials(small_scenario, nm, 5, 21).q
     b = nm.bias_b
     for t in range(5):
         v = block_noise(key, 0, t + 1, small_scenario.m, nm.sigma_v)[t]
@@ -619,6 +619,8 @@ def test_run_trials_is_the_public_kernel_ranked(m, n, workers):
     # One kernel path: run_trials' columns are, bit for bit, the public
     # centered_gram_eigvals of the same block_noise rows, all m + 1 values
     # ranked by _order_indices. m = 5 sums fewer than 8 features at a time.
+    # workers=2 pins that the ignored argument, which the benchmark still
+    # passes, changes no bit.
     g = generate_constellation(m, 10.0 if m < 30 else 5.0, seed=1)
     nm = NoiseModel(sigma_v=3.0, bias_b=1.0e5)
     batch = run_trials(g, nm, n, 9, workers=workers)
@@ -699,7 +701,8 @@ def test_trial_kernel_matches_extended_precision_oracle(request, scenario, k):
     nm = NoiseModel(sigma_v=3.0, bias_b=1.0e5)
     d = true_ranges(g)
     key = noise_key(7)
-    q, lams = _trial_block(g.satellites, d, nm.sigma_v, nm.bias_b, key, 0, k)
+    batch = run_trials(g, nm, k, 7)
+    q, lams = batch.q, batch.lambdas
     rho = d + nm.bias_b + block_noise(key, 0, k, g.m, nm.sigma_v)
     with mpmath.workdps(40):
         for t in range(k):
@@ -790,12 +793,12 @@ class TestJacobiEigenvalues:
 
     def test_zero_matrix_returns_at_once(self, monkeypatch):
         # Already converged, so no sweep is needed.
-        monkeypatch.setattr(montecarlo, "_JACOBI_MAX_SWEEPS", 0)
+        monkeypatch.setattr(audit, "_JACOBI_MAX_SWEEPS", 0)
         with localcontext(Context(prec=40)):
             assert _jacobi_eigenvalues([[Decimal(0)] * 5 for _ in range(5)]) == [0] * 5
 
     def test_diagonal_matrix_is_its_own_spectrum(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_JACOBI_MAX_SWEEPS", 0)
+        monkeypatch.setattr(audit, "_JACOBI_MAX_SWEEPS", 0)
         d = [Decimal("2.5e15"), Decimal(-3), Decimal(0), Decimal("1e-20"), Decimal("7.25")]
         A = [[d[i] if i == k else Decimal(0) for k in range(5)] for i in range(5)]
         with localcontext(Context(prec=40)):
@@ -815,6 +818,6 @@ class TestJacobiEigenvalues:
         assert _jacobi_against_eigsy((A + A.T) / 2) <= 1e-35
 
     def test_non_convergence_is_a_spectrum_error(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_JACOBI_MAX_SWEEPS", 0)
+        monkeypatch.setattr(audit, "_JACOBI_MAX_SWEEPS", 0)
         with localcontext(Context(prec=40)), pytest.raises(SpectrumError, match="0 sweeps"):
             _jacobi_eigenvalues([[Decimal(1), Decimal(2)], [Decimal(2), Decimal(1)]])
