@@ -14,11 +14,16 @@ the workspace it is given.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GeometryError, SpectrumError
+
+# The largest float whose square is finite.
+SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 
 # For the indefinite centered Gram matrix the bias-activated fifth eigenvalue
 # is negative, so ranking by magnitude is what keeps positions 4 and 5 on the
@@ -99,14 +104,17 @@ def edm_from_gram(G: np.ndarray) -> SquaredDistanceMatrix:
 
 
 def _check_pseudoranges(rho: np.ndarray, m: int) -> np.ndarray:
-    """``rho`` as floats, with shape (..., m) and every entry positive and finite."""
+    """``rho`` as floats, with shape (..., m) and every entry positive with a finite square."""
     rho = np.asarray(rho, dtype=float)
     if rho.ndim == 0 or rho.shape[-1] != m:
         raise ValueError(f"pseudorange vectors need {m} entries, one per satellite, "
                          f"got shape {rho.shape}")
     # min and max propagate NaN, so a NaN fails the first comparison.
-    if rho.size and not 0 < rho.min() <= rho.max() < np.inf:
-        raise GeometryError("pseudoranges must all be positive and finite")
+    if rho.size and not 0 < rho.min() <= rho.max() <= SQRT_FLOAT_MAX:
+        raise GeometryError(
+            "pseudoranges must all be positive and finite, with finite squares "
+            f"(at most {SQRT_FLOAT_MAX:.4g} m)"
+        )
     return rho
 
 
@@ -168,11 +176,15 @@ def centered_gram(satellites: np.ndarray, rho: np.ndarray) -> np.ndarray:
 class Rank5Factors:
     """The geometry's half of the rank-5 kernel, built once per scenario.
 
-    With the receiver slot at the origin, P = [0; S] and J the centering
-    projector, ``basis`` (4, m+1) holds the rows of an orthonormal basis Q0
-    of [A, u] (A = J P, u = J e0), ``M0`` (4, 4) is B B^T with B = Q0^T A,
-    ``ut`` (4,) is Q0^T u and ``sq`` (m,) the squared norms |s_j|^2 of the
-    satellite positions (m, 3).
+    With the receiver slot at the origin, P = [0; S], J the centering
+    projector, A = J P and u = J e0 = nu q0 with nu = sqrt(m / (m+1)):
+    ``basis`` (3, m+1) holds the rows of U in the thin SVD
+    A - q0 q0^T A = U diag(sigma) V^T, so that [q0, U] is orthonormal and
+    A A^T on it is [[|c|^2, (sigma c)^T], [sigma c, diag(sigma^2)]] with
+    c = V^T A^T q0. ``poles`` (4,) are (sigma_1^2, sigma_2^2, sigma_3^2, 0),
+    decreasing, and ``sq`` (m,) the squared norms |s_j|^2 of the satellite
+    positions (m, 3). The rest are per-geometry constants of the kernel
+    (see rank5_eigvals and _secular_roots).
     """
 
     def __init__(self, satellites: np.ndarray):
@@ -185,79 +197,85 @@ class Rank5Factors:
         A = P - P.mean(axis=0)
         u = np.full(n, -1.0 / n)
         u[0] += 1.0
-        # Householder QR: Q0 is orthonormal even if A is rank-deficient.
-        Q0, _ = np.linalg.qr(np.column_stack([A, u]))
-        B = Q0.T @ A
-        self.basis = np.ascontiguousarray(Q0.T)
-        self.M0 = B @ B.T
-        self.ut = Q0.T @ u
+        self.nu = np.sqrt(self.m / n)
+        self.q0 = u / self.nu
+        # Householder QR: the last three columns of Q are orthonormal and
+        # orthogonal to q0 even if A is rank-deficient.
+        Q, _ = np.linalg.qr(np.column_stack([u, A]))
+        Ub, sigma, Vt = np.linalg.svd(Q[:, 1:].T @ A)
+        c = Vt @ (A.T @ self.q0)
+        self.basis = np.ascontiguousarray((Q[:, 1:] @ Ub).T)
         self.sq = np.einsum("ij,ij->i", S, S)
+        self.poles = np.append(sigma**2, 0.0)
+        self.sigma_c = sigma * c
+        self.cc = c @ c
+        # A rank-deficient A has sigma_3 = 0. No lane can then interlace
+        # strictly, so every lane takes the fallback and the infinities and
+        # NaNs that follow from these divisions reach no result.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # h0 = w0 - sum_i h0_lin_i a_i - sum_i h0_sq_i a_i^2.
+            self.h0_lin = self.nu * c / sigma
+            self.h0_sq = 0.25 * self.nu**2 / self.poles[:3]
+        # Root j of (lambda_1 .. lambda_5) sits on pole _POLE[j], with
+        # tau = lambda - poles[_POLE[j]] in the bracket (tau_lo, tau_hi)
+        # that strict interlacing gives; its secular function has one term
+        # per other pole, at offset ``gaps`` (5, 3) from its own.
+        d = self.poles
+        self.gaps = d[_OTHER] - d[_POLE][:, None]
+        self.tau_lo = np.array([0.0, 0.0, 0.0, 0.0, -np.inf])[:, None]
+        self.tau_hi = np.array([np.inf, d[0] - d[1], d[1] - d[2], d[2], 0.0])[:, None]
+
+
+# lambda_1 > sigma_1^2 > lambda_2 > sigma_2^2 > lambda_3 > sigma_3^2 >
+# lambda_4 > 0 > lambda_5: the pole each root is solved from, and the others.
+_POLE = np.array([0, 1, 2, 3, 3])
+_OTHER = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2], [0, 1, 2]])
+
+# Newton steps per root, and the largest last step, relative to |lambda|,
+# that certifies a lane.
+_NEWTON_STEPS = 5
+_CERTIFY_REL = 1e-13
 
 
 class Rank5Workspace:
     """Feature-major buffers for rank5_eigvals blocks of up to ``k`` trials.
 
     Row i of an (m+1, k) buffer holds feature i of every trial in the block,
-    so each step of the kernel is a few numpy calls on k-long rows. One
-    workspace serves every block of a run: fresh arrays of this size per
-    block are returned to the system when freed and page-faulted back in.
+    so each step of the kernel is a few numpy calls on k-long rows; the
+    secular solve's ``roots`` and ``terms`` hold one row per root, or per
+    root and other pole. One workspace serves every block of a run. Its
+    buffers are views of one allocation, which is freed whole: as separate
+    arrays they left heap fragments that raised simulate's peak RSS by
+    about 0.2 MB.
     """
 
     def __init__(self, m: int, k: int):
         n = m + 1
-        self.rho = np.empty((m, k))
-        self.w = np.empty((n, k))
-        self.r = np.empty((n, k))
-        self.prod = np.empty((4, n, k))
-        self.a = np.empty((4, k))
-        self.half_beta = np.empty(k)
-        self.acc = np.empty((4, 8, k))
-        self.pair = np.empty((4, 4, k))
-        self.H = np.zeros((5, 5, k))
-        # The five Ritz values and one of the m - 4 exact zeros: enough to rank.
-        self.eig = np.zeros((k, 6))
+        shapes = {
+            "rho": (m, k), "w": (n, k), "prod": (n, k), "a": (3, k), "w0": (k,),
+            "alpha": (k,), "h0": (k,), "z2": (4, k), "roots": (5, 5, k),
+            "terms": (3, 5, 3, k),
+            # The five Ritz values and one of the m - 4 exact zeros: enough to rank.
+            "eig": (k, 6),
+        }
+        buf = np.zeros(sum(math.prod(shape) for shape in shapes.values()))
+        start = 0
+        for name, shape in shapes.items():
+            stop = start + math.prod(shape)
+            setattr(self, name, buf[start:stop].reshape(shape))
+            start = stop
 
 
-# numpy adds a contiguous run of doubles pairwise (pairwise_sum in its
-# loops_utils.h): fewer than 8 values one by one; up to _PW_BLOCK in eight
-# interleaved accumulators, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
-# then the rest one by one; longer runs as two halves split at a multiple
-# of 8. A reduction starts from +0.0.
-_PW_BLOCK = 128
+def _row_sum(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sum x (n, k) over its rows into out (k,), row after row.
 
-
-def _row_sum(x: np.ndarray, out: np.ndarray, acc: np.ndarray, pair: np.ndarray) -> np.ndarray:
-    """Sum x (..., n, k) over its rows into out (..., k) in numpy's order.
-
-    Equals ``np.swapaxes(x, -1, -2).sum(axis=-1)`` bit for bit: a trial's
-    sum comes out as if its n features were contiguous, whatever the
-    layout, which is what keeps the feature-major kernel on the bits of the
-    trial-major one. ``acc`` (..., 8, k) and ``pair`` (..., 4, k) are
-    scratch.
+    Each step adds one row elementwise, so a column's sum has the same bits
+    whatever the other columns are: a trial's bits depend on its own
+    features alone.
     """
-    n = x.shape[-2]
-    if n > _PW_BLOCK:
-        half = n // 2
-        half -= half % 8
-        _row_sum(x[..., :half, :], out, acc, pair)
-        out += _row_sum(x[..., half:, :], np.empty_like(out), acc, pair)
-        return out
-    if n < 8:
-        out.fill(0.0)
-        stop = 0
-    else:
-        stop = n - n % 8
-        r = x[..., :8, :]  # the eight accumulators
-        if stop > 8:
-            r = np.add(r, x[..., 8:16, :], out=acc)
-            for i in range(16, stop, 8):
-                r += x[..., i : i + 8, :]
-        np.add(r[..., 0::2, :], r[..., 1::2, :], out=pair)
-        np.add(pair[..., 0::2, :], pair[..., 1::2, :], out=acc[..., :2, :])
-        np.add(acc[..., 0, :], acc[..., 1, :], out=out)
-        out += 0.0  # the starting value: a -0.0 becomes +0.0, as in numpy
-    for i in range(stop, n):
-        out += x[..., i, :]
+    np.copyto(out, x[0])
+    for row in x[1:]:
+        out += row
     return out
 
 
@@ -265,49 +283,173 @@ def rank5_eigvals(f: Rank5Factors, rho: np.ndarray, ws: Rank5Workspace) -> np.nd
     """Non-zero eigenvalues of the centered Gram matrices of k trials.
 
     ``rho`` (m, k) holds one pseudorange vector per column. Writes w, its
-    coordinates a on the basis, the rest r, the 5x5 matrices H and their
-    eigenvalues into ``ws`` and returns ``ws.eig[:k]`` (k, 6): the five
-    eigenvalues, unordered, then an exact zero. See centered_gram_eigvals
-    for the algebra.
+    coordinates and each trial's arrowhead into ``ws`` and returns
+    ``ws.eig[:k]`` (k, 6): the five eigenvalues, unordered, then an exact
+    zero. Trials the secular solve cannot certify take np.linalg.eigvalsh
+    of their own arrowhead. See centered_gram_eigvals for the algebra.
     """
     rho = _check_pseudoranges(rho.T, f.m).T
     k = rho.shape[1]
-    n = f.m + 1
-    w, r, a, hb = ws.w[:, :k], ws.r[:, :k], ws.a[:, :k], ws.half_beta[:k]
-    prod, acc, pair = ws.prod[..., :k], ws.acc[..., :k], ws.pair[..., :k]
+    w, prod, a, w0 = ws.w[:, :k], ws.prod[:, :k], ws.a[:, :k], ws.w0[:k]
+    alpha, h0, z2 = ws.alpha[:k], ws.h0[:k], ws.z2[:, :k]
     # w = [-mean; v - mean], v_j = |s_j|^2 - rho_j^2.
-    v, mean = w[1:], w[0]
+    v = w[1:]
     np.multiply(rho, rho, out=v)
     np.subtract(f.sq[:, None], v, out=v)
-    _row_sum(v, mean, acc[0], pair[0])
-    mean /= n
-    v -= mean
-    np.negative(mean, out=mean)
-    np.multiply(f.basis[:, :, None], w, out=prod)
-    _row_sum(prod, a, acc, pair)
-    # r = w - a_1 q_1 - ... - a_4 q_4, subtracted in that order.
-    np.multiply(a[:, None, :], f.basis[:, :, None], out=prod)
-    np.subtract(w, prod[0], out=r)
-    for p in prod[1:]:
-        r -= p
-    np.multiply(r, r, out=prod[0])
-    _row_sum(prod[0], hb, acc[0], pair[0])
-    np.sqrt(hb, out=hb)
-    hb *= 0.5
-    # H = [[M0 + (ut a^T + a ut^T) / 2, beta/2 ut], [beta/2 ut^T, 0]], one
-    # (5, 5) matrix per column.
-    H = ws.H[..., :k]
-    top = H[:4, :4]
-    np.multiply(f.ut[:, None, None], a, out=top)
-    np.multiply(a[:, None, :], f.ut[None, :, None], out=prod[:, :4])
-    top += prod[:, :4]
-    top *= 0.5
-    top += f.M0[:, :, None]
-    np.multiply(f.ut[:, None], hb, out=H[4, :4])
-    H[:4, 4] = H[4, :4]
+    _row_sum(v, w0)
+    w0 /= f.m + 1
+    v -= w0
+    np.negative(w0, out=w0)
+    w[0] = w0
+    # a = U^T w; w's coordinate on q0 is w0 / nu, as w sums to zero.
+    for i in range(3):
+        np.multiply(f.basis[i][:, None], w, out=prod)
+        _row_sum(prod, a[i])
+    # The rest r = w - (w0 / nu) q0 - a_1 U_1 - a_2 U_2 - a_3 U_3, subtracted
+    # in that order in place of w, and z_4^2 = (nu |r| / 2)^2.
+    np.divide(w0, f.nu, out=alpha)
+    np.multiply(f.q0[:, None], alpha, out=prod)
+    w -= prod
+    for i in range(3):
+        np.multiply(f.basis[i][:, None], a[i], out=prod)
+        w -= prod
+    np.multiply(w, w, out=prod)
+    _row_sum(prod, z2[3])
+    z2[3] *= 0.25 * f.nu**2
+    # h0 = w0 - sum_i (h0_lin_i a_i + h0_sq_i a_i^2), with alpha as scratch.
+    np.copyto(h0, w0)
+    for i in range(3):
+        np.multiply(a[i], f.h0_lin[i], out=alpha)
+        h0 -= alpha
+        np.multiply(a[i], a[i], out=alpha)
+        alpha *= f.h0_sq[i]
+        h0 -= alpha
+    # z_i = sigma_i c_i + nu a_i / 2 and alpha = |c|^2 + w0.
+    np.multiply(a, 0.5 * f.nu, out=z2[:3])
+    z2[:3] += f.sigma_c[:, None]
+    z2[:3] *= z2[:3]
+    np.add(w0, f.cc, out=alpha)
+    lam, certified = _secular_roots(f, alpha, h0, z2, ws)
     eig = ws.eig[:k]
-    eig[:, :5] = np.linalg.eigvalsh(H.transpose(2, 0, 1))
+    eig[:, :5] = lam.T
+    bad = np.flatnonzero(~certified)
+    if bad.size:
+        eig[bad, :5] = np.linalg.eigvalsh(_arrowhead(f, alpha[bad], a[:, bad], z2[3, bad]))
     return eig
+
+
+def _arrowhead(
+    f: Rank5Factors, alpha: np.ndarray, a: np.ndarray, z4sq: np.ndarray
+) -> np.ndarray:
+    """The (k, 5, 5) arrowheads [[alpha, z^T], [z, diag(poles)]] of k trials."""
+    H = np.zeros((alpha.size, 5, 5))
+    H[:, 0, 0] = alpha
+    H[:, 0, 1:4] = (f.sigma_c[:, None] + 0.5 * f.nu * a).T
+    H[:, 0, 4] = np.sqrt(z4sq)
+    H[:, 1:, 0] = H[:, 0, 1:]
+    H[:, range(1, 5), range(1, 5)] = f.poles
+    return H
+
+
+def _secular_roots(
+    f: Rank5Factors, alpha: np.ndarray, h0: np.ndarray, z2: np.ndarray, ws: Rank5Workspace
+) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues (5, k) of k arrowheads, and which lanes are certified.
+
+    Root j solves F(tau) = tau h(tau) + z_p^2 = 0 for tau = lambda - d_p,
+    where d_p is its pole and h the secular function without that pole:
+    h(tau) = alpha - d_p - tau - sum_i z_i^2 / (e_i - tau) over the other
+    poles, at offsets e_i = d_i - d_p. For lambda_4 and lambda_5 (the zero
+    pole) h is taken as h0 - tau - tau sum_i (z_i^2 / e_i) / (e_i - tau),
+    which subtracts no two large numbers near tau = 0. Each root then takes
+    _NEWTON_STEPS Newton steps from a start inside its bracket: for
+    lambda_1..3 the upper eigenvalue of [[alpha, z_p], [z_p, d_p]], for
+    lambda_4 and lambda_5 the roots of tau (h0 + h'(0) tau) + z_4^2. A lane
+    is certified when every last step is within _CERTIFY_REL of |lambda|
+    and the roots interlace the poles strictly.
+
+    Every step is elementwise per lane, so a lane's bits depend on its own
+    inputs alone. Non-finite values in a lane fail its certification, so
+    their floating-point warnings are silenced.
+    """
+    k = alpha.size
+    tau, base, zp2, h, g = ws.roots[..., :k]
+    y, t, pr = ws.terms[..., :k]
+    e = f.gaps[:, :, None]
+    hi = f.tau_hi
+    np.take(z2, _POLE, axis=0, out=zp2)
+    np.take(z2, _OTHER, axis=0, out=y)
+    with np.errstate(all="ignore"):
+        np.subtract(alpha, f.poles[:3, None], out=base[:3])
+        base[3:] = h0
+        y[3:] /= e[3:]
+        # lambda_1..3 start at the 2x2's upper eigenvalue, as tau and without
+        # cancellation: half + hyp, or z_p^2 / (hyp - half) when half <= 0;
+        # lambda_2 and lambda_3 move to mid-bracket if outside it.
+        half, hyp = g[:3], h[:3]
+        np.multiply(base[:3], 0.5, out=half)
+        np.multiply(half, half, out=hyp)
+        hyp += zp2[:3]
+        np.sqrt(hyp, out=hyp)
+        np.add(half, hyp, out=tau[:3])
+        hyp -= half
+        np.divide(zp2[:3], hyp, out=hyp)
+        np.copyto(tau[:3], hyp, where=half <= 0)
+        # lambda_4 and lambda_5 start at the roots of the quadratic
+        # h'(0) tau^2 + h0 tau + z_4^2, with h'(0) = -1 - sum z_i^2 / e_i^2
+        # < 0, so one root has each sign: qd / h'(0) and z_4^2 / qd with
+        # qd = -(h0 + sign(h0) sqrt(h0^2 - 4 h'(0) z_4^2)) / 2.
+        h1, qd = g[3], h[3]
+        np.divide(y[3], e[3], out=pr[3])
+        np.add(pr[3, 0], pr[3, 1], out=h1)
+        h1 += pr[3, 2]
+        h1 += 1.0
+        np.negative(h1, out=h1)
+        np.multiply(h1, z2[3], out=h[4])
+        h[4] *= 4.0
+        np.multiply(h0, h0, out=qd)
+        qd -= h[4]
+        np.sqrt(qd, out=qd)
+        np.copysign(qd, h0, out=qd)
+        qd += h0
+        qd *= -0.5
+        np.divide(qd, h1, out=h[4])
+        np.divide(z2[3], qd, out=g[4])
+        np.maximum(h[4], g[4], out=tau[3])
+        np.minimum(h[4], g[4], out=tau[4])
+        inner = tau[1:4]
+        np.copyto(inner, 0.5 * hi[1:4], where=~((0 < inner) & (inner < hi[1:4])))
+        for _ in range(_NEWTON_STEPS):
+            # t = 1 / (e - tau); h = base - s sum y t - tau, with s = 1 for
+            # lambda_1..3 and s = tau for lambda_4 and lambda_5; then
+            # g = -h'(tau) = 1 + sum z^2 t^2, and the step F / F' with
+            # F = tau h + z_p^2 and F' = h - tau g.
+            np.subtract(e, tau[:, None, :], out=t)
+            np.reciprocal(t, out=t)
+            np.multiply(y, t, out=pr)
+            np.add(pr[:, 0], pr[:, 1], out=h)
+            h += pr[:, 2]
+            h[3:] *= tau[3:]
+            np.subtract(base, h, out=h)
+            h -= tau
+            pr *= t
+            pr[3:] *= e[3:]  # y e = z^2 on the zero pole's rows
+            np.add(pr[:, 0], pr[:, 1], out=g)
+            g += pr[:, 2]
+            g += 1.0
+            g *= tau
+            np.subtract(h, g, out=g)
+            h *= tau
+            h += zp2
+            h /= g
+            tau -= h
+        ok = (f.tau_lo < tau) & (tau < hi)
+        lam = np.add(tau, f.poles[_POLE, None], out=g)
+        np.abs(lam, out=base)
+        base *= _CERTIFY_REL
+        np.abs(h, out=h)
+        ok &= h <= base
+    return lam, ok.all(axis=0)
 
 
 def centered_gram_eigvals(satellites: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -320,18 +462,27 @@ def centered_gram_eigvals(satellites: np.ndarray, rho: np.ndarray) -> np.ndarray
         w = J [0; |s_j|^2 - rho_j^2],
 
     so its rank is at most 5 (Dokmanic et al., "Euclidean Distance
-    Matrices", IEEE SPM 2015). An orthonormal basis Q0 of [A, u] is fixed by
-    the geometry; each pseudorange vector adds one direction, the part of w
-    outside Q0. G_c restricted to those five directions is a 5x5 matrix H
+    Matrices", IEEE SPM 2015). The geometry fixes an orthonormal basis
+    [q0, U] of span(A, u): q0 = u / |u| and U from the SVD of A with q0
+    projected out, so A A^T on it is diagonal but for q0's row and column.
+    Each pseudorange vector adds one direction, the part r of w outside it.
+    On these five directions G_c is the arrowhead
+
+        H = [[alpha, z^T], [z, diag(sigma_1^2, sigma_2^2, sigma_3^2, 0)]],
+
     whose eigenvalues are the non-zero ones of G_c (Rayleigh-Ritz, exact
-    here); the other m - 4 are exact zeros.
+    here); the other m - 4 are exact zeros. They are the roots of one
+    scalar secular equation, which interlace the fixed poles (Golub, "Some
+    modified matrix eigenvalue problems", SIAM Review 1973), and a
+    vectorised Newton solve finds them (_secular_roots).
 
     The work splits in two: Rank5Factors holds the geometry's factors
     once, and rank5_eigvals runs a block of pseudorange vectors through
-    them feature-major, in a Rank5Workspace. Each row costs O(m) plus a 5x5
-    eigensolve. Every per-row reduction is elementwise across rows and sums
-    in numpy's pairwise order (_row_sum), so a row's values are bit for bit
-    those of the same row alone, or laid out row-major.
+    them feature-major, in a Rank5Workspace. Each row costs O(m) plus a
+    fixed number of Newton steps. Every per-row sum adds the features in
+    one fixed order, elementwise across rows (_row_sum), and every solver
+    step is elementwise too, so a row's values are bit for bit those of the
+    same row alone.
     """
     f = Rank5Factors(satellites)
     rho = _check_pseudoranges(rho, f.m)

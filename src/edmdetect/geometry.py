@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .edm import SQRT_FLOAT_MAX
 from .errors import ConfigError, ConstellationSamplingError, GeometryError
 
 EARTH_RADIUS_M = 6_371_000.0
@@ -110,8 +111,11 @@ class NoiseModel:
     bias_b: float = DEFAULT_BIAS_M
 
     def __post_init__(self):
-        if not (self.sigma_v > 0 and np.isfinite(self.sigma_v)):
-            raise ValueError(f"sigma_v must be finite and > 0, got {self.sigma_v}")
+        if not 0 < self.sigma_v <= SQRT_FLOAT_MAX:
+            raise ValueError(
+                f"sigma_v must be > 0 with a finite square (at most {SQRT_FLOAT_MAX:.4g} m), "
+                f"got {self.sigma_v}"
+            )
         if not np.isfinite(self.bias_b):
             raise ValueError(f"clock bias must be finite, got {self.bias_b}")
 

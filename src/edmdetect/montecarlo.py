@@ -8,7 +8,7 @@ counter-based stream keyed on the master seed with counter b (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC'11). Trial t's noise thus
 depends only on (master_seed, t), and a short run is a bit-exact prefix of
 a longer one. Each trial's spectrum comes from the rank-5 Rayleigh-Ritz
-kernel of edm.centered_gram_eigvals: O(m) work and a 5x5 eigensolve per
+kernel of edm.centered_gram_eigvals: O(m) work and a few Newton steps per
 trial instead of building and solving the (m+1)x(m+1) centered Gram matrix.
 run_trials builds the geometry's factors once (edm.Rank5Factors), runs
 every block through edm.rank5_eigvals in one reused, feature-major
@@ -259,7 +259,8 @@ def _column_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _correlation(lams: np.ndarray) -> np.ndarray:
     """The (4, 4) correlation of the _CORRELATION_LABELS columns of ``lams``.
 
-    A column with zero sample variance gets the identity's row and column.
+    A column with zero sample variance, by either way of taking its mean,
+    gets the identity's row and column.
     The other entries are np.corrcoef(cols[:, ok], rowvar=False) bit for
     bit, computed in one C-ordered (4, n) buffer instead of four (n, 4)
     copies (the stack, the selection, np.cov's own copy and its conj()).
@@ -282,13 +283,19 @@ def _correlation(lams: np.ndarray) -> np.ndarray:
     k = int(np.count_nonzero(ok))
     if not k:
         return corr
-    for row, col in enumerate(np.flatnonzero(ok)):
+    kept = np.flatnonzero(ok)
+    for row, col in enumerate(kept):
         X[row] = X[col]
     X = X[:k]
     X -= X.mean(axis=1)[:, None]
     c = np.dot(X, X.T)
     c *= np.true_divide(1, n - 1)
-    if k == 1:
+    # np.cov's means are pairwise sums, not row-after-row ones, so a column
+    # kept above can still have a zero diagonal here: it is constant too.
+    live = np.diag(c) != 0
+    ok[kept[~live]] = False
+    c = c[np.ix_(live, live)]
+    if c.shape[0] == 1:
         c = c / c  # np.corrcoef's scalar case: nan for a nan, inf or zero variance
     else:
         sd = np.sqrt(np.diag(c))

@@ -357,6 +357,39 @@ class TestConfigHandling:
         assert "orbit radius" in proc.stderr
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["predict", "simulate"])
+    @pytest.mark.parametrize("flag, value, kind, words", [
+        ("--sigma", "1e160", "config", "sigma_v"),
+        ("--bias", "1e200", "geometry", "finite squares"),
+    ])
+    def test_overflowing_noise_or_bias_is_one_line_typed_error(
+        self, tmp_path, command, flag, value, kind, words
+    ):
+        # sigma_v^2 or rho^2 overflows a float: a typed error, exit 2, and no
+        # traceback or RuntimeWarning on stderr (a fresh interpreter shows both).
+        proc = subprocess.run(
+            [sys.executable, "-m", "edmdetect.cli", command, flag, value, "--trials", "10",
+             "--out", str(tmp_path / "o")],
+            env=fresh_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.startswith(f"error ({kind}): ") and proc.stderr.count("\n") == 1
+        assert words in proc.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_degenerate_summary_has_no_nan(self, tmp_path):
+        # sigma_v = 1e-300 leaves every eigenvalue column constant up to
+        # rounding; the correlation must still be plain JSON numbers.
+        out = tmp_path / "o"
+        argv = ["simulate", "--sigma", "1e-300", "--trials", "10", "--out", str(out)]
+        assert run(argv) == EXIT_OK
+
+        def refuse(name):
+            raise ValueError(f"summary.json holds {name}")
+
+        doc = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+        assert np.all(np.isfinite(doc["correlation"]["matrix"]))
+
     def test_exit_codes_are_distinct(self):
         assert len({EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_AUDIT}) == 4
 

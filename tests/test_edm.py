@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edmdetect import (
     GeometryError,
@@ -13,6 +15,7 @@ from edmdetect import (
     centered_gram_eigvals,
     centering_matrix,
     edm_from_gram,
+    generate_constellation,
     gram_centered,
     gram_from_positions,
     nominal_pseudoranges,
@@ -20,7 +23,7 @@ from edmdetect import (
     test_statistic as q_statistic,
     true_ranges,
 )
-from edmdetect.edm import ORDERING_MAGNITUDE, _order_indices, _row_sum
+from edmdetect.edm import ORDERING_MAGNITUDE, _order_indices
 
 RNG = np.random.default_rng(2024)
 
@@ -177,26 +180,33 @@ class TestCenteredGramEigvals:
                 centered_gram_eigvals(scenario12.satellites, np.stack([d, rho, d]))
         with pytest.raises(ValueError, match="entries"):
             centered_gram_eigvals(scenario12.satellites, d[:-1])
+        # A pseudorange whose square overflows is refused before it is squared.
+        with pytest.raises(GeometryError, match="finite squares"):
+            centered_gram_eigvals(
+                scenario12.satellites, np.where(np.arange(d.size) == 4, 1e155, d)
+            )
 
 
-class TestRowSum:
-    def test_matches_numpy_sum_bit_for_bit(self):
-        # Lengths 1..140 cover the one-by-one sum below 8, the eight
-        # accumulators with and without a tail, and the recursive halves
-        # above 128; the values span 20 decades and both signs.
-        k = 37
-        acc, pair = np.empty((2, 8, k)), np.empty((2, 4, k))
-        for n in range(1, 141):
-            x = RNG.normal(size=(2, k, n)) * 10.0 ** RNG.uniform(-10, 10, size=(2, k, n))
-            got = _row_sum(np.ascontiguousarray(np.swapaxes(x, -1, -2)), np.empty((2, k)),
-                           acc, pair)
-            assert np.array_equal(got.view(np.uint64), x.sum(axis=-1).view(np.uint64)), n
-
-    def test_signed_zeros_sum_to_plus_zero(self):
-        # numpy's reduction starts from +0.0, so rows of -0.0 sum to +0.0.
-        for n in (1, 7, 8, 9, 16, 130):
-            got = _row_sum(np.full((n, 3), -0.0), np.empty(3), np.empty((8, 3)), np.empty((4, 3)))
-            assert np.array_equal(got.view(np.uint64), np.zeros(3).view(np.uint64)), n
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(
+    m=st.integers(5, 30),
+    mask=st.sampled_from([5.0, 10.0, 20.0, 40.0]),
+    seed=st.integers(1, 6),
+    sigma=st.floats(1e-6, 300.0),
+    bias=st.sampled_from([0.0, 1.0, 100.0, 1e5]),
+)
+def test_kernel_matches_dense_eigensolve_and_stacks_rowwise(m, mask, seed, sigma, bias):
+    # The secular kernel on generated constellations: its sorted values lie
+    # within 1e-12 of the scale of the dense eigvalsh of centered_gram, and
+    # every row has the same bits alone as inside the stack.
+    g = generate_constellation(m, mask, seed=seed)
+    rho = true_ranges(g) + bias + np.random.default_rng(seed).normal(0.0, sigma, (3, m))
+    w = centered_gram_eigvals(g.satellites, rho)
+    full = np.linalg.eigvalsh(centered_gram(g.satellites, rho))
+    scale = np.abs(full).max(axis=-1, keepdims=True)
+    assert np.all(np.abs(np.sort(w, axis=-1) - full) <= 1e-12 * scale)
+    for row, r in zip(w, rho):
+        assert np.array_equal(centered_gram_eigvals(g.satellites, r), row)
 
 
 class TestSpectrum:

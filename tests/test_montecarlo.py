@@ -9,7 +9,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from conftest import dense_mp_eigenvalues
+from conftest import MASTER_SEED, dense_mp_eigenvalues
 
 from edmdetect import (
     NoiseModel,
@@ -34,6 +34,7 @@ from edmdetect.audit import (
     finite_difference_audit,
     relative_discrepancy,
 )
+from edmdetect import edm
 from edmdetect.edm import _order_indices
 from edmdetect.montecarlo import (
     _BLOCK,
@@ -216,8 +217,10 @@ class TestRunTrials:
     def test_zero_leading_eigenvalue_aborts_with_trial_index(
         self, small_scenario, monkeypatch
     ):
+        # Every root certified at zero: the guard, not the solver, must stop it.
         monkeypatch.setattr(
-            np.linalg, "eigvalsh", lambda a: np.zeros(a.shape[:-1])
+            edm, "_secular_roots",
+            lambda f, alpha, h0, z2, ws: (np.zeros((5, alpha.size)), np.ones(alpha.size, bool)),
         )
         with pytest.raises(SpectrumError, match="trial 0"):
             run_trials(small_scenario, NoiseModel(3.0, 1e5), 4, 1)
@@ -711,6 +714,62 @@ def test_trial_kernel_matches_extended_precision_oracle(request, scenario, k):
             assert abs(float(q[t]) - q_ref) <= 1e-13 * abs(q_ref), t
             for i in range(5):
                 assert abs(float(lams[t, i]) - ref[i]) <= 1e-9 * abs(ref[i]), (t, i)
+
+
+def _count_fallback_lanes(monkeypatch) -> list:
+    """Spy on np.linalg.eigvalsh, which the kernel calls only for its fallback lanes."""
+    lanes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a):
+        lanes.append(a.shape[0])
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return lanes
+
+
+def test_no_lane_falls_back_on_default_or_oracle_scenarios(
+    request, scenario12, noise_default, monkeypatch
+):
+    # The secular solve certifies every trial of the default 100k run (the
+    # CLI's master seed) and of the oracle test's trials: the eigvalsh
+    # fallback serves none of them.
+    lanes = _count_fallback_lanes(monkeypatch)
+    run_trials(scenario12, noise_default, 100_000, MASTER_SEED)
+    for scenario, k in (("small_scenario", 40), ("scenario12", 10)):
+        run_trials(request.getfixturevalue(scenario), noise_default, k, 7)
+    assert sum(lanes) == 0
+
+
+def test_fallback_lanes_match_dense_and_stack_rowwise(
+    scenario12, coplanar_scenario, noise_default, monkeypatch
+):
+    # Lanes the solve does not certify take eigvalsh of their own arrowhead:
+    # every lane of the coplanar geometry (sigma_3 = 0, so no strict
+    # interlacing), and, with certification refused where alpha's last bit
+    # is odd, part of a default-scenario stack. Their values must match the
+    # dense eigensolve and keep a row's bits the same alone and in a stack.
+    lanes = _count_fallback_lanes(monkeypatch)
+    solve = edm._secular_roots
+
+    def uncertify_odd(f, alpha, h0, z2, ws):
+        lam, certified = solve(f, alpha, h0, z2, ws)
+        return lam, certified & (alpha.view(np.uint64) % 2 == 0)
+
+    for g, patch in ((coplanar_scenario, False), (scenario12, True)):
+        if patch:
+            monkeypatch.setattr(edm, "_secular_roots", uncertify_odd)
+        d = true_ranges(g)
+        rho = d + noise_default.bias_b + block_noise(noise_key(5), 0, 64, g.m, 3.0)
+        del lanes[:]
+        w = centered_gram_eigvals(g.satellites, rho)
+        assert sum(lanes) in (range(1, 64) if patch else [64])
+        full = np.linalg.eigvalsh(centered_gram(g.satellites, rho))
+        scale = np.abs(full).max(axis=-1, keepdims=True)
+        assert np.all(np.abs(np.sort(w, axis=-1) - full) <= 1e-12 * scale)
+        for row, r in zip(w, rho):
+            assert np.array_equal(centered_gram_eigvals(g.satellites, r), row)
 
 
 @pytest.mark.parametrize("scenario", ["small_scenario", "scenario12", "scenario30",
