@@ -120,8 +120,8 @@ def _rop(g1: np.ndarray, g0: np.ndarray, cp: np.ndarray) -> np.ndarray:
 
     The high words of the 128-bit products g1 * cp and g0 * cp are built
     from 32-bit limbs; g1, g0 and cp are all below 2**63. The arithmetic is
-    in place where it can be: fresh 3N-element temporaries cost more than
-    the operations.
+    in place where it can be: fresh temporaries cost more than the
+    operations.
     """
     c0, c1 = cp & _M32, cp >> _S32
 
@@ -168,9 +168,8 @@ def shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # The rounding interval's lower end is half as far when irregular.
     cbl = cb - np.uint64(2) + irregular
     cbr = cb + np.uint64(2)
-    cp = np.stack([cb, cbl, cbr])
-    cp <<= h
-    vb, vbl, vbr = _rop(g1, g0, cp)
+    # One _rop each, not on their (3, N) stack: glibc maps every buffer over 128 KiB afresh.
+    vb, vbl, vbr = (_rop(g1, g0, cx << h) for cx in (cb, cbl, cbr))
     # Candidates d * 10**k lie in the rounding interval iff lo <= 4d <= hi;
     # for odd c the interval's ends do not round to x, so they are excluded.
     out = c & np.uint64(1)
@@ -194,13 +193,12 @@ def shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _digit_chars(v: np.ndarray, lut4: np.ndarray, pow10: np.ndarray) -> np.ndarray:
     """(N, 20) ASCII digits of uint64 values, right-aligned and zero-padded."""
-    chunks = []
-    rem = v
-    for p in (16, 12, 8, 4):
-        chunk, rem = np.divmod(rem, pow10[p])
-        chunks.append(chunk)
-    chunks.append(rem)
-    return lut4[np.stack(chunks, axis=1).astype(np.intp)].view(np.uint8)
+    words = np.empty((v.size, 5), np.uint32)  # not a stack of intp chunks: under 128 KiB, as above
+    for i, p in enumerate((16, 12, 8, 4)):
+        chunk, v = np.divmod(v, pow10[p])
+        words[:, i] = lut4[chunk]
+    words[:, 4] = lut4[v]
+    return words.view(np.uint8)
 
 
 def repr_cells(

@@ -219,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
     except GeometryError as exc:
         print(f"error (geometry): {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DegenerateEigenvalueError, SpectrumError, ZeroDivisionError) as exc:
+    except (DegenerateEigenvalueError, SpectrumError, ZeroDivisionError, OverflowError) as exc:
         print(f"error (numerical): {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -240,15 +240,19 @@ def predict_q_distribution(
     Pipeline: nominal linearisation (see _nominal_linearisation) ->
     numerator and denominator moments -> Gaussian ratio. Numerator and
     denominator are treated as independent; their first-order covariance is
-    reported as a diagnostic so the assumption can be checked.
+    reported as a diagnostic so the assumption can be checked. A moment
+    that overflows raises OverflowError.
     """
     _, table = _nominal_linearisation(g, nm)
     lam1 = table.nominal_value(1)
-    num = numerator_moments(table, table.nominal_value(4), table.nominal_value(5), nm.sigma_v)
-    sigma_den = 2.0 * np.sqrt(eigenvalue_variance(table.row(1), nm.sigma_v))
-    mu_den = 2.0 * lam1
-    ratio = ratio_gaussian(num.mu, num.sigma, mu_den, sigma_den)
-    cov = float(np.sum((table.row(4) + table.row(5)) * 2.0 * table.row(1)) * nm.sigma_v**2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        num = numerator_moments(table, table.nominal_value(4), table.nominal_value(5), nm.sigma_v)
+        sigma_den = 2.0 * np.sqrt(eigenvalue_variance(table.row(1), nm.sigma_v))
+        mu_den = 2.0 * lam1
+        ratio = ratio_gaussian(num.mu, num.sigma, mu_den, sigma_den)
+        cov = float(np.sum((table.row(4) + table.row(5)) * 2.0 * table.row(1)) * nm.sigma_v**2)
+    if not np.isfinite([num.sigma, sigma_den, ratio.sigma, cov]).all():
+        raise OverflowError(f"sigma_v = {nm.sigma_v:g} m overflows the predicted moments of q")
     warnings = (ratio.warning,) if ratio.warning else ()
     return StatisticDistribution(
         mu_num=num.mu,

@@ -1,9 +1,10 @@
 """What the benchmark under perfbench/ needs from the package.
 
 perfbench/probe.py stamps the end of set-up by looking up its
-WORK_ENTRY_POINTS by module and name, and perfbench/layers.py still passes
-run_trials(workers=2). A rename or a removal in the package would fail the
-benchmark, not the suite; this test fails first.
+WORK_ENTRY_POINTS by module and name, perfbench/layers.py still passes
+run_trials(workers=2), and its sweep judges the simulate writers' files with
+perfbench/checks.py. A rename, a removal or a broken output in the package
+would fail the benchmark, not the suite; these tests fail first.
 """
 
 import ast
@@ -15,7 +16,8 @@ import numpy as np
 
 from edmdetect import NoiseModel, generate_constellation, run_trials
 
-PROBE = Path(__file__).resolve().parents[1] / "perfbench" / "probe.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PROBE = PERFBENCH / "probe.py"
 
 
 def work_entry_points():
@@ -45,3 +47,27 @@ def test_ignored_worker_count_changes_no_result():
     g = generate_constellation(12, 10.0, seed=1)
     nm = NoiseModel(sigma_v=3.0, bias_b=1.0e5)
     assert np.array_equal(run_trials(g, nm, 8, 1, workers=2).q, run_trials(g, nm, 8, 1).q)
+
+
+def test_sweep_outputs_pass_the_benchmark_checks(tmp_path, monkeypatch):
+    # perfbench/layers.py's m = 12 sweep step: the same scenario, noise,
+    # trial count and calls, judged by checks.check_outputs as there.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import checks
+    import layers
+
+    from edmdetect import geometry, montecarlo, perturbation
+
+    m, n, seed = 12, layers.SWEEP_TRIALS[12], 1
+    g = geometry.generate_constellation(m, layers.SWEEP[m], seed=layers.SCENARIO_SEED)
+    nm = geometry.NoiseModel(sigma_v=layers.SIGMA_V, bias_b=layers.BIAS_B)
+    dist = perturbation.predict_q_distribution(g, nm)
+    thr = perturbation.detection_threshold(dist, layers.P_FA).one_sided_hi
+    batch = montecarlo.run_trials(g, nm, n, seed, threshold=thr, workers=1)
+    summary = montecarlo.summarize(batch, dist, threshold=thr)
+    prov = {"n_sats": m, "elevation_mask_deg": layers.SWEEP[m], "trials": n,
+            "master_seed": seed, "p_fa": layers.P_FA}
+    montecarlo.write_trials_csv(batch, tmp_path / "trials.csv", prov)
+    montecarlo.write_summary_json(summary, tmp_path / "summary.json", prov)
+    montecarlo.write_histogram_csv(summary, tmp_path / "histogram.csv", prov)
+    assert checks.check_outputs(tmp_path, "simulate", n) == []

@@ -358,21 +358,24 @@ class TestConfigHandling:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["predict", "simulate"])
-    @pytest.mark.parametrize("flag, value, kind, words", [
-        ("--sigma", "1e160", "config", "sigma_v"),
-        ("--bias", "1e200", "geometry", "finite squares"),
+    @pytest.mark.parametrize("flag, value, code, kind, words", [
+        ("--sigma", "1e160", EXIT_CONFIG, "config", "sigma_v"),
+        ("--bias", "1e200", EXIT_CONFIG, "geometry", "finite squares"),
+        ("--sigma", "1e150", EXIT_NUMERICAL, "numerical", "sigma_v"),
     ])
     def test_overflowing_noise_or_bias_is_one_line_typed_error(
-        self, tmp_path, command, flag, value, kind, words
+        self, tmp_path, command, flag, value, code, kind, words
     ):
-        # sigma_v^2 or rho^2 overflows a float: a typed error, exit 2, and no
-        # traceback or RuntimeWarning on stderr (a fresh interpreter shows both).
+        # sigma_v^2 or rho^2 overflows a float (exit 2), or sigma_v^2 is
+        # finite but the predicted moments are not (exit 3): a typed error,
+        # and no traceback or RuntimeWarning on stderr (a fresh interpreter
+        # shows both).
         proc = subprocess.run(
             [sys.executable, "-m", "edmdetect.cli", command, flag, value, "--trials", "10",
              "--out", str(tmp_path / "o")],
             env=fresh_env(), capture_output=True, text=True, timeout=120,
         )
-        assert proc.returncode == EXIT_CONFIG
+        assert proc.returncode == code
         assert proc.stderr.startswith(f"error ({kind}): ") and proc.stderr.count("\n") == 1
         assert words in proc.stderr
         assert not (tmp_path / "o").exists()

@@ -1,9 +1,11 @@
 """Trial harness: determinism, summaries, fault injection, and the FD audit."""
 
 import json
+import math
 import tracemalloc
 from dataclasses import fields, replace
 from decimal import Context, Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -129,8 +131,15 @@ def summarize_reference(batch, dist, threshold=None):
     )
 
 
-def assert_same_bits(got, want):
+# The summary fields that summarize does not take from numpy's one-shot
+# expressions; the exact-sum oracles below check them instead.
+EIGEN_FIELDS = ("lambda_mean", "lambda_var", "correlation")
+
+
+def assert_same_bits(got, want, skip=()):
     for field in fields(want):
+        if field.name in skip:
+            continue
         a, b = getattr(got, field.name), getattr(want, field.name)
         if b is None or field.name == "predicted":
             assert a is b, field.name
@@ -138,6 +147,106 @@ def assert_same_bits(got, want):
         a, b = np.asarray(a), np.asarray(b)
         assert a.dtype == b.dtype and a.shape == b.shape, field.name
         assert a.tobytes() == b.tobytes(), (field.name, a, b)
+
+
+def eigen_columns(lams):
+    """[lambda1..lambda5, lambda4 + lambda5], the last the rounded sum of each row."""
+    return [lams[:, j] for j in range(5)] + [lams[:, 3] + lams[:, 4]]
+
+
+def exact_eigen_moments(lams):
+    """Means, variances (Fractions) and the (4, 4) correlation from exact sums.
+
+    A column's doubles are integer multiples of its smallest power-of-two
+    denominator 1 / scale, so its sum S and every cross sum Q are exact
+    Python ints, and n (n - 1) cov = (n Q - S S^T) / (scale scale^T). The
+    scales cancel in the correlation, which is rounded once from its exact
+    square. Columns with zero variance keep the identity's row and column.
+    """
+    n = lams.shape[0]
+    ints, scales = [], []
+    for col in eigen_columns(lams):
+        ratios = [v.as_integer_ratio() for v in col.tolist()]
+        scale = max(q for _, q in ratios)
+        ints.append([p * (scale // q) for p, q in ratios])
+        scales.append(scale)
+    S = [sum(c) for c in ints]
+
+    def ncov(i, j):
+        return n * sum(a * b for a, b in zip(ints[i], ints[j])) - S[i] * S[j]
+
+    mean = [Fraction(S[i], n * scales[i]) for i in range(5)]
+    var = [Fraction(ncov(i, i), n * (n - 1) * scales[i] ** 2) for i in range(5)]
+    cols = (0, 3, 4, 5)
+    diag = [ncov(i, i) for i in cols]
+    corr = np.eye(4)
+    for a, i in enumerate(cols):
+        for b, j in enumerate(cols):
+            if a != b and diag[a] and diag[b]:
+                c = ncov(i, j)
+                corr[a, b] = math.copysign(math.sqrt(Fraction(c * c, diag[a] * diag[b])), c)
+    return mean, var, corr
+
+
+def fsum_eigen_moments(lams):
+    """Means, variances and correlation from math.fsum of the deviations
+    from each column's rounded mean: a reference for runs too long for
+    exact sums."""
+    n = lams.shape[0]
+    cols = eigen_columns(lams)
+    mean = [math.fsum(c.tolist()) / n for c in cols]
+    dev = [c - m for c, m in zip(cols, mean)]
+
+    def cov(i, j):
+        return math.fsum((dev[i] * dev[j]).tolist()) / (n - 1)
+
+    var = [cov(i, i) for i in range(6)]
+    corr = np.eye(4)
+    for a, i in enumerate((0, 3, 4, 5)):
+        for b, j in enumerate((0, 3, 4, 5)):
+            if a != b and var[i] and var[j]:
+                corr[a, b] = cov(i, j) / math.sqrt(var[i] * var[j])
+    return mean[:5], var[:5], corr
+
+
+def assert_eigen_moments_within(summary, lams, oracle, var_rel, corr_abs):
+    """lambda_mean within 1e-14 of its column's largest magnitude, lambda_var
+    within ``var_rel`` (exactly 0 where the oracle's is), each correlation
+    within ``corr_abs``; the matrix symmetric with a unit diagonal, bit for bit."""
+    mean, var, corr = oracle(lams)
+    for j in range(5):
+        scale = float(np.abs(lams[:, j]).max())
+        assert abs(Fraction(float(summary.lambda_mean[j])) - Fraction(mean[j])) <= 1e-14 * scale, j
+        got = float(summary.lambda_var[j])
+        if var[j] == 0:
+            assert got == 0.0, j
+        else:
+            assert abs(Fraction(got) - Fraction(var[j])) <= var_rel * abs(Fraction(var[j])), j
+    assert np.all(np.abs(summary.correlation - corr) <= corr_abs), (summary.correlation, corr)
+    assert np.array_equal(summary.correlation, summary.correlation.T)
+    assert np.array_equal(np.diag(summary.correlation), np.ones(4))
+
+
+def edge_batch(edge):
+    """One of the summary's edge cases: 2500 seeded trials, with its columns altered."""
+    rng = np.random.default_rng(3)
+    n = 2500
+    qs = rng.normal(0.3, 0.07, n)
+    lams = rng.normal(size=(n, 5)) * [4e14, 3e14, 2e14, 1e3, -1e3]
+    if edge.startswith("constant_lambda5"):
+        lams[:, 4] = float(edge.rsplit("_", 1)[1])
+    elif edge == "zero_sum_column":
+        lams[:, 4] = -lams[:, 3]
+    elif edge == "constant_q":
+        qs[:] = 1.25
+    else:
+        lams[:, 1:] = 0.0
+    return synthetic_batch(qs, lams)
+
+
+EDGES = ["constant_lambda5_0.5", "constant_lambda5_0.1", "zero_sum_column", "constant_q",
+         "only_lambda1_varies"]
+PREFIXES = [2, 3, 1023, 1024, 1025, 65_536, 100_000]
 
 
 @pytest.fixture(scope="module")
@@ -310,51 +419,62 @@ class TestSummarize:
             got = np.histogram_bin_edges(x, bins=_fd_bin_count(x))
             assert got.shape == fd.shape and np.array_equal(got, fd), x.size
 
-    @pytest.mark.parametrize("n", [2, 3, 1023, 1024, 1025, 65_536, 100_000])
+    @pytest.mark.parametrize("n", PREFIXES)
     def test_same_bits_as_numpy_one_shot(self, mc100k, scenario12, noise_default, n):
         # The default run's prefixes (a prefix is a shorter run, bit for
         # bit), across the _BLOCK boundaries of the chunked reductions.
+        # Every field but EIGEN_FIELDS, which the exact-sum tests check.
         dist = predict_q_distribution(scenario12, noise_default)
         batch = TrialBatch(q=mc100k.q[:n], lambdas=mc100k.lambdas[:n], exceeded=None)
-        assert_same_bits(summarize(batch, dist), summarize_reference(batch, dist))
+        assert_same_bits(summarize(batch, dist), summarize_reference(batch, dist), skip=EIGEN_FIELDS)
 
-    @pytest.mark.parametrize("edge", ["constant_lambda5_0.5", "constant_lambda5_0.1",
-                                      "zero_sum_column", "constant_q", "only_lambda1_varies"])
+    @pytest.mark.parametrize("edge", EDGES)
     def test_same_bits_as_numpy_one_shot_on_edge_batches(self, edge):
-        # Constant columns drop out of the correlation (a constant 0.1 sums
-        # to a mean that is not 0.1, so its variance is not exactly zero),
-        # lambda5 = -lambda4 makes the sum column exactly zero, a constant q
-        # is degenerate (KS = 1), and a single varying column takes
-        # np.corrcoef's scalar path.
-        rng = np.random.default_rng(3)
-        n = 2500
-        qs = rng.normal(0.3, 0.07, n)
-        lams = rng.normal(size=(n, 5)) * [4e14, 3e14, 2e14, 1e3, -1e3]
-        if edge.startswith("constant_lambda5"):
-            lams[:, 4] = float(edge.rsplit("_", 1)[1])
-        elif edge == "zero_sum_column":
-            lams[:, 4] = -lams[:, 3]
-        elif edge == "constant_q":
-            qs[:] = 1.25
-        else:
-            lams[:, 1:] = 0.0
-        batch = synthetic_batch(qs, lams)
+        # Constant columns, lambda5 = -lambda4 (an exactly zero sum column),
+        # a constant q, which is degenerate (KS = 1), and a single varying
+        # column. Every field but EIGEN_FIELDS, as above.
+        batch = edge_batch(edge)
         dist = gaussian_dist(0.3, 0.07)
         got = summarize(batch, dist, threshold=0.35)
-        assert_same_bits(got, summarize_reference(batch, dist, threshold=0.35))
+        assert_same_bits(got, summarize_reference(batch, dist, threshold=0.35), skip=EIGEN_FIELDS)
         if edge == "constant_q":
             assert got.degenerate and got.ks_statistic == 1.0
         if edge == "zero_sum_column":
             assert np.array_equal(got.correlation[3], np.eye(4)[3])
 
-    def test_correlation_matrix_shape(self):
+    @pytest.mark.parametrize("n", PREFIXES)
+    def test_eigen_moments_match_exact_sums(self, mc100k, n):
+        # Bounds, fixed in advance. Up to 1,025 trials, against exact
+        # integer sums: means 1e-14 of the column's largest magnitude,
+        # variances 1e-13 relative, correlations 1e-13 absolute. Beyond,
+        # against math.fsum of the deviations from the rounded mean:
+        # variances 1e-12 relative, correlations 1e-12 absolute. numpy's
+        # one-shot lambda1 variance misses the first by 3e-11 at n = 8,192.
+        lams = mc100k.lambdas[:n]
+        summary = summarize(synthetic_batch(mc100k.q[:n], lams), gaussian_dist(0.0, 1.0))
+        if n <= 1025:
+            assert_eigen_moments_within(summary, lams, exact_eigen_moments, 1e-13, 1e-13)
+        else:
+            assert_eigen_moments_within(summary, lams, fsum_eigen_moments, 1e-12, 1e-12)
+
+    @pytest.mark.parametrize("edge", EDGES)
+    def test_eigen_moments_match_exact_sums_on_edge_batches(self, edge):
+        # A constant column, even of 0.1, has exactly zero variance.
+        batch = edge_batch(edge)
+        summary = summarize(batch, gaussian_dist(0.3, 0.07), threshold=0.35)
+        assert_eigen_moments_within(summary, batch.lambdas, exact_eigen_moments, 1e-13, 1e-13)
+
+    def test_correlation_matrix_shape(self, mc100k):
+        # Symmetric bit for bit with an exactly unit diagonal, on a synthetic
+        # batch and on the default 100k-trial run.
         rng = np.random.default_rng(8)
-        lams = rng.normal(size=(500, 5))
-        qs = rng.normal(size=500)
-        s = summarize(synthetic_batch(qs, lams), gaussian_dist(0.0, 1.0))
-        np.testing.assert_array_equal(np.diag(s.correlation), np.ones(4))
-        np.testing.assert_allclose(s.correlation, s.correlation.T, atol=1e-12)
-        assert np.all(np.abs(s.correlation) <= 1.0 + 1e-12)
+        batches = [synthetic_batch(rng.normal(size=500), rng.normal(size=(500, 5))), mc100k]
+        for batch in batches:
+            s = summarize(batch, gaussian_dist(0.0, 1.0))
+            assert s.correlation.shape == (4, 4)
+            assert np.array_equal(np.diag(s.correlation), np.ones(4))
+            assert np.array_equal(s.correlation, s.correlation.T)
+            assert np.all(np.abs(s.correlation) <= 1.0)
 
     def test_false_alarm_rate_from_threshold(self):
         qs = np.array([0.1, 0.2, 0.3, 0.4])
@@ -666,18 +786,18 @@ def test_trial_loop_and_writer_memory_stays_flat(scenario12, noise_default, tmp_
     assert writer[65536] - writer[8192] <= 256 * 1024, writer
 
 
-def test_summarize_memory_is_one_four_row_buffer(scenario12, noise_default):
-    # Beyond the batch, summarize holds one (4, n) float buffer (32 B/trial)
-    # plus scratch of _BLOCK rows; numpy's one-shot expressions
+def test_summarize_memory_is_one_q_copy(scenario12, noise_default):
+    # Beyond the batch, summarize holds one n-long copy of q at a time
+    # (8 B/trial) plus scratch of _BLOCK rows; numpy's one-shot expressions
     # (summarize_reference) take about 96 B/trial. Bound, fixed in advance:
-    # 3.0 MB at n = 65,536 (about 46 B/trial), and at n = 8,192 no more
+    # 1.0 MB at n = 65,536 (about 15 B/trial), and at n = 8,192 no more
     # than the one-shot expressions.
     dist = predict_q_distribution(scenario12, noise_default)
     batch = run_trials(scenario12, noise_default, 65_536, 3)
     small = TrialBatch(q=batch.q[:8192], lambdas=batch.lambdas[:8192], exceeded=None)
     summarize(small, dist)  # first-use costs
     summarize_reference(small, dist)
-    assert _traced_peak(lambda: summarize(batch, dist)) <= 3.0e6
+    assert _traced_peak(lambda: summarize(batch, dist)) <= 1.0e6
     assert (_traced_peak(lambda: summarize(small, dist))
             <= _traced_peak(lambda: summarize_reference(small, dist)))
 
