@@ -8,13 +8,11 @@ safe and results are reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
-from pathlib import Path
 
 import numpy as np
 
 from .edm import SQRT_FLOAT_MAX
-from .errors import ConfigError, ConstellationSamplingError, GeometryError
+from .errors import ConstellationSamplingError, GeometryError
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -246,135 +244,3 @@ def nominal_pseudoranges(d: np.ndarray, nm: NoiseModel) -> PseudorangeSample:
     d = _checked_ranges(d)
     b = nm.bias_b
     return PseudorangeSample(rho=d + b, d_true=d, b_effective=b, v=np.zeros_like(d))
-
-
-# ---------------------------------------------------------------------------
-# Scenario files
-# ---------------------------------------------------------------------------
-#
-# A YAML mapping with SI-meter values: either an explicit point set
-# (receiver: [x, y, z]; satellites: [[x, y, z], ...]) or a generated one
-# (constellation: {n_sats, elevation_mask_deg, orbit_radius_m}; seed), plus
-# the optional noise keys sigma_v and bias_b. The README gives a full example.
-
-GEOMETRY_KEYS = ("receiver", "satellites", "constellation", "seed")
-NOISE_KEYS = ("sigma_v", "bias_b")
-
-
-def config_value(mapping: dict, key: str, kind, default=None):
-    """``kind(mapping.get(key, default))``; a value ``kind`` rejects raises ConfigError.
-
-    An ``int`` value must be integral, never truncated: 2.9 is refused while
-    1.0e5 (a string to YAML 1.1) gives 100000.
-    """
-    value = mapping.get(key, default)
-    try:
-        if kind is int:
-            exact = Decimal(value)  # exact for ints, floats and numeric strings alike
-            if exact != exact.to_integral_value():
-                raise ValueError
-            return int(exact)
-        return kind(value)
-    except (TypeError, ValueError, ArithmeticError):
-        raise ConfigError(f"invalid value for {key}: {value!r}") from None
-
-
-@dataclass(frozen=True)
-class GeometrySpec:
-    """A scenario geometry as parsed by parse_geometry, not yet built.
-
-    ``kwargs`` are the arguments of ScenarioGeometry for an explicit point
-    set, else of generate_constellation. ``given`` is False when the mapping
-    named no geometry and the default constellation stands in.
-    """
-
-    kwargs: dict
-    given: bool
-
-    def build(self) -> ScenarioGeometry:
-        if "satellites" in self.kwargs:
-            return ScenarioGeometry(**self.kwargs)
-        return generate_constellation(**self.kwargs)
-
-    def provenance(self) -> dict:
-        """The values that produced the geometry; explicit points record only their count."""
-        kw = dict(self.kwargs)
-        if "satellites" in kw:
-            return {"n_sats": kw["satellites"].shape[0]}
-        kw["scenario_seed"] = kw.pop("seed")
-        return kw
-
-
-def parse_geometry(mapping: dict) -> GeometrySpec:
-    """Parse the geometry keys (receiver, satellites, constellation, seed).
-
-    This is the only reader of those keys and the only holder of their
-    defaults; a mapping that names no geometry gets the default
-    constellation.
-    """
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"scenario must be a mapping, got {type(mapping).__name__}")
-    has_explicit = "receiver" in mapping or "satellites" in mapping
-    has_generated = "constellation" in mapping
-    if has_explicit and has_generated:
-        raise ConfigError("give either receiver/satellites or constellation, not both")
-    if has_explicit:
-        if "receiver" not in mapping or "satellites" not in mapping:
-            raise ConfigError("explicit scenarios need both receiver and satellites")
-        if "seed" in mapping:
-            raise ConfigError("seed applies to a generated constellation, not to explicit points")
-        points = {
-            key: config_value(mapping, key, lambda v: np.asarray(v, dtype=float))
-            for key in ("receiver", "satellites")
-        }
-        return GeometrySpec(points, given=True)
-    params = mapping.get("constellation") or {}
-    if not isinstance(params, dict):
-        raise ConfigError(f"constellation must be a mapping, got {params!r}")
-    unknown = set(params) - {"n_sats", "elevation_mask_deg", "orbit_radius_m"}
-    if unknown:
-        raise ConfigError(f"unknown constellation keys: {sorted(unknown)}")
-    kwargs = {
-        "n_sats": config_value(params, "n_sats", int, 12),
-        "elevation_mask_deg": config_value(
-            params, "elevation_mask_deg", float, DEFAULT_ELEVATION_MASK_DEG
-        ),
-        "orbit_radius_m": config_value(params, "orbit_radius_m", float, DEFAULT_ORBIT_RADIUS_M),
-        "seed": config_value(mapping, "seed", int, 1),
-    }
-    if kwargs["seed"] < 0:
-        raise ConfigError("seed must be non-negative")
-    return GeometrySpec(kwargs, given=has_generated)
-
-
-def parse_noise(mapping: dict) -> NoiseModel:
-    """NoiseModel from the noise keys; absent keys keep NoiseModel's defaults."""
-    kwargs = {
-        key: config_value(mapping, key, float)
-        for key in NOISE_KEYS
-        if key in mapping
-    }
-    try:
-        return NoiseModel(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def read_mapping(path: str | Path) -> dict:
-    """The YAML document of a config or scenario file; an empty file gives {}."""
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"file not found: {path}")
-    import yaml  # only config and scenario files need it; importing it slows every command
-
-    try:
-        doc = yaml.safe_load(path.read_bytes())
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        if getattr(exc, "problem", None) and mark is not None:
-            detail = f"{exc.problem} at line {mark.line + 1}, column {mark.column + 1}"
-        else:
-            detail = " ".join(str(exc).split())
-        raise ConfigError(f"cannot parse {path}: {detail}") from None
-    return {} if doc is None else doc
-

@@ -276,8 +276,8 @@ def detection_threshold(dist: StatisticDistribution, p_fa: float) -> DetectionTh
     the rounding of 1 - p. A zero sigma_q collapses everything onto mu_q and
     is flagged.
     """
-    if not 0.0 < p_fa < 0.5:
-        raise ValueError(f"p_fa must lie in (0, 0.5), got {p_fa}")
+    if not 0.0 < p_fa / 2.0 < 0.25:  # the two-sided quantile needs p_fa / 2 > 0 too
+        raise ValueError(f"p_fa must lie in (0, 0.5) with a nonzero half, got {p_fa}")
     if dist.sigma_q == 0.0:
         return DetectionThresholds(dist.mu_q, dist.mu_q, dist.mu_q, p_fa, True)
     z_two = -NormalDist().inv_cdf(p_fa / 2.0)

@@ -2,8 +2,9 @@
 
 perfbench/probe.py stamps the end of set-up by looking up its
 WORK_ENTRY_POINTS by module and name, perfbench/layers.py still passes
-run_trials(workers=2), and its sweep judges the simulate writers' files with
-perfbench/checks.py. A rename, a removal or a broken output in the package
+run_trials(workers=2), times cli.resolve_config and cli.build_scenario on a
+parsed simulate command, and its sweep judges the simulate writers' files
+with perfbench/checks.py. A rename, a removal or a broken output in the package
 would fail the benchmark, not the suite; these tests fail first.
 """
 
@@ -71,3 +72,18 @@ def test_sweep_outputs_pass_the_benchmark_checks(tmp_path, monkeypatch):
     montecarlo.write_summary_json(summary, tmp_path / "summary.json", prov)
     montecarlo.write_histogram_csv(summary, tmp_path / "histogram.csv", prov)
     assert checks.check_outputs(tmp_path, "simulate", n) == []
+
+
+def test_config_step_resolves_the_default_simulate_scenario(tmp_path, monkeypatch):
+    # perfbench/layers.py's config step: parse the workload's simulate
+    # command, then resolve the config and build the scenario from it.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+
+    from edmdetect import cli, geometry
+
+    argv = layers._replays(layers.WORKLOADS["simulate-m12"]["commands"], 256, 1)[0]
+    args = cli._build_parser().parse_args(argv + ["--out", str(tmp_path / "cli")])
+    geom, nm = cli.build_scenario(cli.resolve_config(args))
+    assert isinstance(geom, geometry.ScenarioGeometry)
+    assert isinstance(nm, geometry.NoiseModel)

@@ -22,7 +22,8 @@ from edmdetect import (
     true_ranges,
 )
 from edmdetect.cli import (
-    _RUN_KEYS,
+    _KEYS,
+    _POINT_KEYS,
     EXIT_AUDIT,
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -30,7 +31,6 @@ from edmdetect.cli import (
     _build_parser,
     main,
 )
-from edmdetect.geometry import GEOMETRY_KEYS, NOISE_KEYS
 from edmdetect.perturbation import GAP_TOL_REL_DEFAULT
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -272,6 +272,10 @@ class TestConfigHandling:
             (["predict"], "seed: -1\n"),
             (["simulate"], "trials: 2.9\n"),
             (["predict"], "seed: 1.5\n"),
+            (["predict", "--pfa", "5e-324"], None),
+            (["simulate", "--pfa", "5e-324"], None),
+            # Past numpy's largest dimension: refused before any allocation.
+            (["simulate", "--trials", "10000000000000000000"], None),
         ],
     )
     def test_invalid_values_are_one_line_config_errors(self, tmp_path, capsys, argv, config_text):
@@ -282,6 +286,15 @@ class TestConfigHandling:
         assert run(argv + ["--out", str(tmp_path / "o")]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error (config): ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_unallocatable_trial_count_is_one_line_memory_error(self, tmp_path, capsys):
+        # 711 PiB for the q column alone: beyond a 47-bit address space, so
+        # the allocation fails without touching memory.
+        argv = ["simulate", "--trials", "100000000000000000", "--out", str(tmp_path / "o")]
+        assert run(argv) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("error (memory): ") and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
     def test_provenance_records_the_geometry_actually_used(self, tmp_path):
@@ -496,7 +509,7 @@ class TestReadmeMatchesCli:
     def test_config_example_lists_exactly_the_config_keys(self):
         (example,) = re.findall(r"```yaml\n(.*?)```", self.text, flags=re.S)
         keys = re.findall(r"^(?:# )?(\w+):", example, flags=re.M)
-        assert sorted(keys) == sorted({*GEOMETRY_KEYS, *NOISE_KEYS, *_RUN_KEYS})
+        assert sorted(keys) == sorted({*_KEYS, *_POINT_KEYS, "constellation"})
 
     def test_prediction_key_list_matches_what_predict_writes(self, tmp_path):
         (listed,) = re.findall(r"`prediction\.json` — keys `([^`]*)`", self.text)

@@ -1,5 +1,6 @@
 """Scenario generation, pseudorange sampling, and scenario-file parsing."""
 
+import json
 import math
 
 import numpy as np
@@ -17,14 +18,8 @@ from edmdetect import (
     sample_pseudoranges,
     true_ranges,
 )
-from edmdetect.geometry import (
-    EARTH_RADIUS_M,
-    _ranges,
-    config_value,
-    parse_geometry,
-    parse_noise,
-    read_mapping,
-)
+from edmdetect.cli import _build_parser, build_scenario, config_value, read_mapping, resolve_config
+from edmdetect.geometry import EARTH_RADIUS_M, _ranges
 
 
 def elevation_oracle(receiver, satellite):
@@ -211,8 +206,8 @@ class TestSamplePseudoranges:
 
 def load_scenario(path):
     """(geometry, noise model) of a scenario file, read the way the CLI reads it."""
-    doc = read_mapping(path)
-    return parse_geometry(doc).build(), parse_noise(doc)
+    args = _build_parser().parse_args(["predict", "--config", str(path)])
+    return build_scenario(resolve_config(args))
 
 
 class TestScenarioFiles:
@@ -255,9 +250,11 @@ class TestScenarioFiles:
             {"constellation": {"n_sats": 12.5}},
         ],
     )
-    def test_invalid_scenario_mappings(self, doc):
+    def test_invalid_scenario_mappings(self, tmp_path, doc):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(json.dumps(doc))  # JSON is YAML
         with pytest.raises(ConfigError):
-            parse_geometry(doc)
+            load_scenario(path)
 
     @pytest.mark.parametrize("text", ["1.0e5", "1.0e+5", "100000"])
     def test_integral_config_values_convert_exactly(self, tmp_path, text):

@@ -415,7 +415,7 @@ class TestDetectionThreshold:
                 ref = mpmath.sqrt(2) * mpmath.erfinv(1 - 2 * mpmath.mpf(tail))
                 assert abs(z - ref) <= 1e-15 * ref, (z, tail)
 
-    @pytest.mark.parametrize("p", [0.0, 0.5, 0.9, -0.1])
+    @pytest.mark.parametrize("p", [0.0, 0.5, 0.9, -0.1, 5e-324])
     def test_pfa_domain(self, p):
         with pytest.raises(ValueError):
             detection_threshold(self.make_dist(), p)
