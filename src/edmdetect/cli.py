@@ -55,10 +55,16 @@ def config_value(mapping: dict, key: str, kind, default=None):
     """``kind(mapping.get(key, default))``; a value ``kind`` rejects raises ConfigError.
 
     An ``int`` value must be integral, never truncated: 2.9 is refused while
-    1.0e5 (a string to YAML 1.1) gives 100000.
+    1.0e5 (a string to YAML 1.1) gives 100000. A YAML boolean is not a
+    number, and a ``str`` value must be a string: ``yes`` for a seed or
+    ``[1]`` for an output directory is refused, not read as 1 or "[1]".
     """
     value = mapping.get(key, default)
     try:
+        if isinstance(value, bool) and kind in (int, float):
+            raise TypeError
+        if kind is str and not isinstance(value, str):
+            raise TypeError
         if kind is int:
             exact = Decimal(value)  # exact for ints, floats and numeric strings alike
             if exact != exact.to_integral_value():

@@ -288,6 +288,27 @@ class TestConfigHandling:
         assert err.startswith("error (config): ") and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "config_text, key",
+        [
+            ("master_seed: yes\n", "master_seed"),
+            ("sigma_v: true\n", "sigma_v"),
+            ("out: [1]\n", "out"),
+        ],
+    )
+    def test_yaml_values_of_the_wrong_type_are_refused(
+        self, tmp_path, monkeypatch, capsys, config_text, key
+    ):
+        # YAML reads yes/true as booleans and [1] as a list; none of them
+        # may run as seed 1, sigma 1 m or a directory named "[1]".
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.yaml").write_text(config_text)
+        assert run(["predict", "--config", "cfg.yaml"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error (config): invalid value for {key}: ")
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
+
     def test_unallocatable_trial_count_is_one_line_memory_error(self, tmp_path, capsys):
         # 711 PiB for the q column alone: beyond a 47-bit address space, so
         # the allocation fails without touching memory.
@@ -523,6 +544,27 @@ class TestReadmeMatchesCli:
 
 
 class TestLazyFormatTables:
+    def test_predict_and_audit_never_import_the_formatter(self, tmp_path):
+        # Only simulate writes trials.csv, so only simulate compiles and
+        # imports _floatfmt. A fresh interpreter is needed, since the test
+        # session imports it.
+        script = (
+            "import sys\n"
+            "from edmdetect import cli\n"
+            "out = sys.argv[1]\n"
+            "seen = []\n"
+            "for argv in (['predict'], ['audit'], ['simulate', '--trials', '2048']):\n"
+            "    assert cli.main(argv + ['--out', out]) == 0\n"
+            "    seen.append('edmdetect._floatfmt' in sys.modules)\n"
+            "print(seen)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            env=fresh_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[False, False, True]"
+
     def test_predict_and_audit_leave_the_format_tables_unbuilt(self, tmp_path):
         # The trials.csv formatter's tables are built on first use, so the
         # commands that write no trials never pay for them.

@@ -677,6 +677,74 @@ class TestWriters:
         write_trials_csv(TrialBatch(q=q, lambdas=lams, exceeded=exceeded), path, {"trials": n})
         assert path.read_bytes() == self.one_shot_trials_csv(q, lams, exceeded)
 
+    @pytest.mark.parametrize("m, mask", [(5, 10.0), (12, 10.0), (30, 5.0), (60, 5.0)])
+    def test_trials_csv_matches_one_shot_format_on_trial_batches(
+        self, tmp_path, noise_default, m, mask
+    ):
+        # The writer's real traffic: run_trials columns at the benchmark's
+        # sizes, over three blocks and a part block.
+        g = generate_constellation(m, mask, seed=1)
+        thr = predict_q_distribution(g, noise_default).mu_q
+        batch = run_trials(g, noise_default, 3500, 7, threshold=thr)
+        path = tmp_path / "trials.csv"
+        write_trials_csv(batch, path, {"trials": 3500})
+        assert path.read_bytes() == self.one_shot_trials_csv(batch.q, batch.lambdas, batch.exceeded)
+
+    @staticmethod
+    def counting_rop(monkeypatch):
+        """Count the values whose digits take the full three-product path."""
+        from edmdetect import _floatfmt
+
+        taken = []
+        rop = _floatfmt._rop
+
+        def counted(g1, g0, cp):
+            taken.append(len(cp))
+            return rop(g1, g0, cp)
+
+        monkeypatch.setattr(_floatfmt, "_rop", counted)
+        return taken
+
+    def test_trials_csv_fallback_lanes_match_one_shot_format(self, tmp_path, monkeypatch):
+        # Exact powers of two have the irregular rounding interval, which
+        # takes the full product; short decimals end in zeros, the longer nd
+        # count; tiny and huge values the exponent form. All of them in
+        # every column, around the block boundary at row 1024.
+        p2 = np.ldexp(1.0, np.arange(-60, 60, 3))
+        short = np.array([0.25, 1.5, 123.0, 120.0, 1e-4, 0.1, 2.5e-3, 1e15, 4096.5, 1e-7, 3e22])
+        values = np.concatenate([p2, np.nextafter(p2, 0), short, -p2, -short])
+        n = 1100
+        rng = np.random.default_rng(5)
+        cells = np.column_stack([rng.normal(0.5, 0.05, n), rng.normal(size=(n, 5)) * 1e12])
+        for i, v in enumerate(values):
+            cells[(i * 7) % n, i % 6] = v
+            cells[1000 + i % 60, (i + 2) % 6] = v
+        q, lams = cells[:, 0].copy(), cells[:, 1:].copy()
+        taken = self.counting_rop(monkeypatch)
+        path = tmp_path / "trials.csv"
+        write_trials_csv(TrialBatch(q=q, lambdas=lams, exceeded=q > 0.5), path, {"trials": n})
+        assert path.read_bytes() == self.one_shot_trials_csv(q, lams, q > 0.5)
+        assert sum(taken) >= 2 * len(p2)
+
+    def test_formatters_accept_empty_and_zero_dimensional_input(self):
+        from edmdetect._floatfmt import FLOAT_WIDTH, repr_cells, uint_cells
+
+        chars, valid = repr_cells(np.zeros((0, 6)))
+        assert chars.shape == valid.shape == (0, 6, FLOAT_WIDTH)
+        chars, valid = repr_cells(np.array(-2.5))
+        assert chars[valid].tobytes() == b"-2.5"
+        assert uint_cells(np.zeros(0, np.uint64))[0].shape == (0, 20)
+
+    def test_digit_fallback_is_rare_on_a_default_run(
+        self, tmp_path, monkeypatch, scenario12, noise_default
+    ):
+        # Under 1 in 1,000 values may take the full product on the default
+        # scenario; its values are random, so the count is about 0.
+        batch = run_trials(scenario12, noise_default, 65_536, MASTER_SEED)
+        taken = self.counting_rop(monkeypatch)
+        write_trials_csv(batch, tmp_path / "trials.csv")
+        assert sum(taken) < 6 * 65_536 / 1000
+
     def test_trials_csv_columns(self, tmp_path):
         batch, _ = self.make_summary()
         path = tmp_path / "trials.csv"
