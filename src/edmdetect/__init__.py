@@ -3,9 +3,7 @@ distribution via first-order eigenvalue perturbation, and a seeded Monte
 Carlo validation harness."""
 
 from .edm import (
-    ORDERING_MAGNITUDE,
     GramSpectrum,
-    SquaredDistanceMatrix,
     augment_edm,
     centered_gram,
     centered_gram_eigvals,
@@ -42,7 +40,6 @@ from .montecarlo import (
 )
 from .perturbation import (
     DetectionThresholds,
-    GramSensitivity,
     SensitivityTable,
     StatisticDistribution,
     detection_threshold,
@@ -73,16 +70,13 @@ __all__ = [
     "DetectionThresholds",
     "FiniteDifferenceAudit",
     "GeometryError",
-    "GramSensitivity",
     "GramSpectrum",
     "NoiseModel",
-    "ORDERING_MAGNITUDE",
     "PseudorangeSample",
     "ScenarioGeometry",
     "SensitivityTable",
     "SimulationSummary",
     "SpectrumError",
-    "SquaredDistanceMatrix",
     "StatisticDistribution",
     "TrialBatch",
     "augment_edm",

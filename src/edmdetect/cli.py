@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import edm, geometry, montecarlo, perturbation
+from . import geometry, montecarlo, perturbation
 from .errors import ConfigError, DegenerateEigenvalueError, GeometryError, SpectrumError
 
 EXIT_OK = 0
@@ -126,7 +126,6 @@ class RunConfig:
             **asdict(self.noise),
             "trials": self.trials,
             "master_seed": self.master_seed,
-            "ordering": edm.ORDERING_MAGNITUDE,
             "p_fa": self.p_fa,
         }
 

@@ -25,32 +25,7 @@ from .errors import GeometryError, SpectrumError
 # The largest float whose square is finite.
 SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 
-# For the indefinite centered Gram matrix the bias-activated fifth eigenvalue
-# is negative, so ranking by magnitude is what keeps positions 4 and 5 on the
-# two activated eigenvalues; algebraic ranking would leave position 5 pinned
-# to the zero cluster. Eigenvalues are therefore always ranked by magnitude,
-# and the outputs record this label.
-ORDERING_MAGNITUDE = "magnitude"
-
 _NEG_CLIP_REL = 1e-6
-
-
-@dataclass
-class SquaredDistanceMatrix:
-    """Matrix of pairwise squared distances (meters^2), or a stack of them.
-
-    Each matrix is symmetric with a zero diagonal and non-negative entries;
-    leading axes, if any, index the stack.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=float)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[-1]
 
 
 @dataclass
@@ -58,8 +33,8 @@ class GramSpectrum:
     """Eigenvalues (meters^2) and matched unit eigenvectors of a Gram matrix.
 
     Columns of ``eigenvectors`` pair with ``eigenvalues``, ranked by
-    magnitude. Each eigenvector's largest-magnitude component is made
-    positive so output is reproducible across eigensolver backends.
+    magnitude. Each column's sign is whatever the eigensolver returned;
+    the sensitivities built from them are invariant under a sign flip.
     """
 
     eigenvalues: np.ndarray
@@ -85,11 +60,11 @@ def gram_from_positions(X: np.ndarray) -> np.ndarray:
     return 0.5 * (G + G.T)
 
 
-def edm_from_gram(G: np.ndarray) -> SquaredDistanceMatrix:
-    """Squared-distance matrix from a Gram matrix.
+def edm_from_gram(G: np.ndarray) -> np.ndarray:
+    """Squared-distance matrix (meters^2, a plain float array) from a Gram matrix.
 
     D_ij = G_ii - 2 G_ij + G_jj, which equals ||r_i - r_j||^2 when
-    G = X^T X.
+    G = X^T X: symmetric, with a zero diagonal and non-negative entries.
     """
     G = np.asarray(G, dtype=float)
     g = np.diag(G).copy()
@@ -100,7 +75,7 @@ def edm_from_gram(G: np.ndarray) -> SquaredDistanceMatrix:
     if D.min() < -_NEG_CLIP_REL * max(scale, 1.0):
         raise ValueError("input Gram matrix produced significantly negative squared distances")
     np.clip(D, 0.0, None, out=D)
-    return SquaredDistanceMatrix(entries=D)
+    return D
 
 
 def _check_pseudoranges(rho: np.ndarray, m: int) -> np.ndarray:
@@ -118,26 +93,24 @@ def _check_pseudoranges(rho: np.ndarray, m: int) -> np.ndarray:
     return rho
 
 
-def augment_edm(
-    D: SquaredDistanceMatrix | np.ndarray, rho: np.ndarray
-) -> SquaredDistanceMatrix:
+def augment_edm(D: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Augment the inter-satellite matrix with measured pseudoranges.
 
     Row and column 0 of the result hold rho_i^2; the (0, 0) corner is zero
     and the original block is untouched. ``rho`` of shape (..., m) gives a
     stack of shape (..., m+1, m+1), one matrix per pseudorange vector.
     """
-    entries = D.entries if isinstance(D, SquaredDistanceMatrix) else np.asarray(D, dtype=float)
-    m = entries.shape[0]
-    if entries.shape != (m, m):
-        raise ValueError(f"inter-satellite matrix must be square, got {entries.shape}")
+    D = np.asarray(D, dtype=float)
+    m = D.shape[0]
+    if D.shape != (m, m):
+        raise ValueError(f"inter-satellite matrix must be square, got {D.shape}")
     rho = _check_pseudoranges(rho, m)
     rho2 = rho**2
     out = np.zeros(rho.shape[:-1] + (m + 1, m + 1))
-    out[..., 1:, 1:] = entries
+    out[..., 1:, 1:] = D
     out[..., 0, 1:] = rho2
     out[..., 1:, 0] = rho2
-    return SquaredDistanceMatrix(entries=out)
+    return out
 
 
 def centering_matrix(n: int) -> np.ndarray:
@@ -145,20 +118,18 @@ def centering_matrix(n: int) -> np.ndarray:
     return np.eye(n) - np.ones((n, n)) / n
 
 
-def gram_centered(D_c: SquaredDistanceMatrix | np.ndarray) -> np.ndarray:
+def gram_centered(D_c: np.ndarray) -> np.ndarray:
     """Double-center a squared-distance matrix: G_c = -1/2 * J D_c J.
 
     J is sized to the (m+1)-point matrix, so the result is symmetric and its
     rows sum to zero. A stack (..., n, n) is centered matrix by matrix.
     """
-    entries = (
-        D_c.entries if isinstance(D_c, SquaredDistanceMatrix) else np.asarray(D_c, dtype=float)
-    )
-    n = entries.shape[-1]
-    if entries.ndim < 2 or entries.shape[-2] != n:
-        raise ValueError(f"expected a square matrix, got {entries.shape}")
+    D_c = np.asarray(D_c, dtype=float)
+    n = D_c.shape[-1]
+    if D_c.ndim < 2 or D_c.shape[-2] != n:
+        raise ValueError(f"expected a square matrix, got {D_c.shape}")
     J = centering_matrix(n)
-    G = -0.5 * (J @ entries @ J)
+    G = -0.5 * (J @ D_c @ J)
     return 0.5 * (G + np.swapaxes(G, -1, -2))
 
 
@@ -494,7 +465,13 @@ def centered_gram_eigvals(satellites: np.ndarray, rho: np.ndarray) -> np.ndarray
 
 
 def _order_indices(w: np.ndarray) -> np.ndarray:
-    """Indices ranking eigenvalues along the last axis by magnitude, descending."""
+    """Indices ranking eigenvalues along the last axis by magnitude, descending.
+
+    The centered Gram matrix is indefinite: the bias-activated fifth
+    eigenvalue is negative. Ranking by magnitude keeps positions 4 and 5 on
+    the two activated eigenvalues, where algebraic ranking would leave
+    position 5 in the zero cluster. Every spectrum is ranked this way.
+    """
     return np.argsort(-np.abs(w), axis=-1, kind="stable")
 
 
@@ -505,14 +482,7 @@ def spectrum(G_c: np.ndarray) -> GramSpectrum:
         raise SpectrumError("matrix contains non-finite entries")
     w, V = np.linalg.eigh(G_c)
     idx = _order_indices(w)
-    w = w[idx]
-    V = V[:, idx]
-    # Deterministic sign: largest-|component| entry of each column positive.
-    lead = np.argmax(np.abs(V), axis=0)
-    signs = np.sign(V[lead, np.arange(V.shape[1])])
-    signs[signs == 0] = 1.0
-    V = V * signs[None, :]
-    return GramSpectrum(eigenvalues=w, eigenvectors=V)
+    return GramSpectrum(eigenvalues=w[idx], eigenvectors=V[:, idx])
 
 
 def test_statistic(s: GramSpectrum) -> float:

@@ -84,7 +84,6 @@ class SimulationSummary:
     def to_json_dict(self) -> dict:
         return {
             "n_trials": self.n_trials,
-            "ordering": edm.ORDERING_MAGNITUDE,
             "q_mean": self.q_mean,
             "q_std": self.q_std,
             "lambda_mean": [float(x) for x in self.lambda_mean],

@@ -12,7 +12,8 @@ c_j = J e_{j+1}, has rank 2, so the quotient has the O(m) closed form
 
     s_ij = -2 rho_j (z_0 - zbar)(z_{j+1} - zbar) / z^T z,   zbar = mean(z).
 
-The statistic q = (lambda_4 + lambda_5) / (2 * lambda_1) is then
+It needs only rho besides z, and is even in z, so no eigenvector's sign
+moves it. The statistic q = (lambda_4 + lambda_5) / (2 * lambda_1) is then
 approximated by the Gaussian for a ratio of two Gaussians with small
 denominator spread.
 """
@@ -40,22 +41,6 @@ GAP_TOL_REL_DEFAULT = 1e-12
 # Denominator coefficient of variation above which the Gaussian ratio
 # approximation is no longer trusted; violations warn rather than fail.
 RATIO_CV_GUARD = 0.1
-
-
-@dataclass
-class GramSensitivity:
-    """Per-satellite derivatives of the centered Gram matrix, held as rho.
-
-    dG_c/dv_j at v = 0 is fixed by the pseudorange rho_j alone (see
-    gram_sensitivities), so only rho is stored; eigenvalue_sensitivities
-    contracts the derivatives in closed form and no matrix is ever built.
-    """
-
-    rho: np.ndarray  # (m,) pseudoranges the derivatives are taken at
-
-    @property
-    def m(self) -> int:
-        return self.rho.shape[0]
 
 
 @dataclass
@@ -108,8 +93,7 @@ class StatisticDistribution:
     validity_warnings: tuple[str, ...]
 
     def to_json_dict(self) -> dict:
-        doc = {**asdict(self), "validity_warnings": list(self.validity_warnings)}
-        return {**doc, "ordering": edm.ORDERING_MAGNITUDE}
+        return {**asdict(self), "validity_warnings": list(self.validity_warnings)}
 
 
 class DetectionThresholds(NamedTuple):
@@ -120,31 +104,34 @@ class DetectionThresholds(NamedTuple):
     degenerate: bool
 
 
-def gram_sensitivities(rho: np.ndarray) -> GramSensitivity:
-    """Exact derivative of the centered Gram matrix w.r.t. each noise term.
+def gram_sensitivities(rho: np.ndarray) -> np.ndarray:
+    """The pseudoranges rho (m,) as floats: all that fixes dG_c/dv_j.
 
     Perturbing pseudorange j touches the augmented matrix only at entries
     (0, j) and (j, 0), where d(rho_j^2)/dv_j = 2 rho_j, so
 
         dG_j = -1/2 * J E_j J,   E_j = 2 rho_j (e_0 e_j^T + e_j e_0^T),
 
-    which is symmetric and centered by construction.
+    which is symmetric and centered by construction. No matrix is built:
+    eigenvalue_sensitivities contracts the dG_j in closed form from rho.
     """
-    return GramSensitivity(rho=np.asarray(rho, dtype=float))
+    return np.asarray(rho, dtype=float)
 
 
-def eigenvalue_sensitivities(spec: edm.GramSpectrum, gs: GramSensitivity) -> SensitivityTable:
+def eigenvalue_sensitivities(spec: edm.GramSpectrum, rho: np.ndarray) -> SensitivityTable:
     """First-order response of the TRACKED_DEFAULT eigenvalues to each noise channel.
 
-    Rows use the closed form of the module docstring. Every tracked
-    eigenvalue must be simple: its gap to the rest of the spectrum has to
-    exceed GAP_TOL_REL_DEFAULT times the largest eigenvalue magnitude,
-    otherwise its eigenvector (and the linearization) is not well defined
-    and a DegenerateEigenvalueError is raised.
+    ``rho`` (m,) holds the pseudoranges of gram_sensitivities. Rows use the
+    closed form of the module docstring. Every tracked eigenvalue must be
+    simple: its gap to the rest of the spectrum has to exceed
+    GAP_TOL_REL_DEFAULT times the largest eigenvalue magnitude, otherwise
+    its eigenvector (and the linearization) is not well defined and a
+    DegenerateEigenvalueError is raised.
     """
     w = spec.eigenvalues
     tol = GAP_TOL_REL_DEFAULT * max(float(np.abs(w).max()), 1.0)
-    rows = np.empty((len(TRACKED_DEFAULT), gs.m))
+    rho = np.asarray(rho, dtype=float)
+    rows = np.empty((len(TRACKED_DEFAULT), rho.shape[0]))
     nominal = np.empty(len(TRACKED_DEFAULT))
     for a, pos in enumerate(TRACKED_DEFAULT):
         lam, z = spec.eigenpair(pos)
@@ -158,7 +145,7 @@ def eigenvalue_sensitivities(spec: edm.GramSpectrum, gs: GramSensitivity) -> Sen
                 "unreliable. A larger clock bias separates the activated eigenvalues."
             )
         zc = z - z.mean()
-        rows[a] = -2.0 * gs.rho * zc[0] * zc[1:] / float(z @ z)
+        rows[a] = -2.0 * rho * zc[0] * zc[1:] / float(z @ z)
         nominal[a] = lam
     return SensitivityTable(positions=TRACKED_DEFAULT, s=rows, nominal=nominal)
 
@@ -229,7 +216,7 @@ def _nominal_linearisation(
         )
     rho = geometry.nominal_pseudoranges(geometry.true_ranges(g), nm).rho
     spec = edm.spectrum(edm.centered_gram(g.satellites, rho))
-    return rho, eigenvalue_sensitivities(spec, gram_sensitivities(rho))
+    return rho, eigenvalue_sensitivities(spec, rho)
 
 
 def predict_q_distribution(

@@ -94,7 +94,11 @@ class TestSimulate:
         out = tmp_path / "run"
         assert run(["simulate", "--trials", "200", "--out", str(out)]) == EXIT_OK
         doc = json.loads((out / "summary.json").read_text())
-        assert doc["ordering"] == doc["predicted"]["ordering"] == "magnitude"
+        # Magnitude is the one ranking, so no output names it.
+        for part in (doc, doc["predicted"], doc["config"]):
+            assert "ordering" not in part
+        for name in ("trials.csv", "histogram.csv"):
+            assert "ordering" not in (out / name).read_text()
         assert "q_alt" not in doc
 
 
@@ -105,7 +109,7 @@ class TestPredict:
         doc = json.loads((out / "prediction.json").read_text())
         required = {
             "mu_num", "sigma_num", "mu_den", "sigma_den", "mu_q", "sigma_q",
-            "covariance_num_den", "validity_warnings", "ordering", "thresholds",
+            "covariance_num_den", "validity_warnings", "thresholds",
         }
         assert required <= set(doc)
         assert doc["validity_warnings"] == []
@@ -127,6 +131,16 @@ class TestPredict:
             doc[tag] = json.loads((out / "prediction.json").read_text())
         assert doc["b"]["sigma_q"] == pytest.approx(2.0 * doc["a"]["sigma_q"], rel=1e-12)
         assert doc["b"]["mu_q"] == doc["a"]["mu_q"]
+
+    def test_negative_exponent_bias_in_the_equals_form(self, tmp_path):
+        # argparse reads "-1e5" after a space as a flag, so the README gives
+        # --bias=-1e5; it writes what --bias -100000 writes.
+        written = []
+        for tag, argv in (("equals", ["--bias=-1e5"]), ("space", ["--bias", "-100000"])):
+            out = tmp_path / tag
+            assert run(["predict", *argv, "--out", str(out)]) == EXIT_OK
+            written.append((out / "prediction.json").read_bytes())
+        assert written[0] == written[1]
 
 
 class TestAudit:

@@ -59,7 +59,7 @@ from edmdetect.perturbation import StatisticDistribution
 # record-based writers that preceded TrialBatch.
 GOLDEN_DIR = Path(__file__).parent / "data"
 GOLDEN_PROVENANCE = {
-    "master_seed": 42, "ordering": "magnitude", "p_fa": 0.01, "scenario_file": "", "trials": 200,
+    "master_seed": 42, "p_fa": 0.01, "scenario_file": "", "trials": 200,
 }
 
 
@@ -786,7 +786,7 @@ class TestWriters:
         assert sum(doc["histogram"]["counts"]) == 200
         assert 0.0 <= doc["false_alarm_rate"] <= 1.0
         assert doc["config"] == {"trials": 200}
-        assert set(doc["predicted"]) >= {"mu_q", "sigma_q", "ordering"}
+        assert set(doc["predicted"]) >= {"mu_q", "sigma_q"}
 
 
 def test_trial_block_matches_plain_pipeline(small_scenario):

@@ -29,8 +29,8 @@ from edmdetect import (
     spectrum,
     true_ranges,
 )
-from edmdetect.edm import ORDERING_MAGNITUDE, GramSpectrum, centering_matrix
-from edmdetect.perturbation import GramSensitivity, SensitivityTable, StatisticDistribution
+from edmdetect.edm import GramSpectrum, centering_matrix
+from edmdetect.perturbation import SensitivityTable, StatisticDistribution
 
 RNG = np.random.default_rng(555)
 
@@ -199,7 +199,7 @@ class TestEigenvalueSensitivities:
         # Positions 4 and 5 lie 1e-13 apart, inside the 5e-12 gap floor.
         spec = diag_spectrum([5.0, 4.0, 3.0, 2.0, 2.0 + 1e-13])
         with pytest.raises(DegenerateEigenvalueError, match="position 4 .*bias"):
-            eigenvalue_sensitivities(spec, GramSensitivity(rho=np.ones(4)))
+            eigenvalue_sensitivities(spec, np.ones(4))
 
     def test_matches_eigenvalue_finite_differences(self, scenario12, noise_default):
         # h = 1e-3 m central differences through the full pipeline must agree
@@ -338,7 +338,7 @@ class TestPredictQDistribution:
     def test_default_scenario_has_no_warnings(self, scenario12, noise_default):
         dist = predict_q_distribution(scenario12, noise_default)
         assert dist.validity_warnings == ()
-        assert dist.to_json_dict()["ordering"] == ORDERING_MAGNITUDE
+        assert "ordering" not in dist.to_json_dict()
 
     def test_matches_monte_carlo_10k(self, scenario12, noise_default, mc100k):
         dist = predict_q_distribution(scenario12, noise_default)
@@ -431,7 +431,7 @@ def test_statistic_distribution_json_keys(scenario12, noise_default):
     doc = dist.to_json_dict()
     required = {
         "mu_num", "sigma_num", "mu_den", "sigma_den", "mu_q", "sigma_q",
-        "covariance_num_den", "validity_warnings", "ordering",
+        "covariance_num_den", "validity_warnings",
     }
     assert required <= set(doc)
     assert doc["validity_warnings"] == []
