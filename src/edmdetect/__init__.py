@@ -46,7 +46,6 @@ from .perturbation import (
     eigenvalue_sensitivities,
     eigenvalue_variance,
     gram_sensitivities,
-    numerator_moments,
     predict_q_distribution,
     ratio_gaussian,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "gram_sensitivities",
     "inject_fault",
     "nominal_pseudoranges",
-    "numerator_moments",
     "predict_q_distribution",
     "ratio_gaussian",
     "run_trials",

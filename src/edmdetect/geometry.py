@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .edm import SQRT_FLOAT_MAX
+from .edm import MAX_LENGTH_M, SQRT_FLOAT_MAX
 from .errors import ConstellationSamplingError, GeometryError
 
 EARTH_RADIUS_M = 6_371_000.0
@@ -50,10 +50,10 @@ class ScenarioGeometry:
     Raises
     ------
     GeometryError
-        If the arrays have the wrong shape or non-finite entries, fewer than
-        5 satellites are given, any two points (satellites or receiver) are
-        closer than 1 m, or the full point set is coplanar (rank of the
-        centered position stack < 3).
+        If the arrays have the wrong shape or entries that are not finite
+        or exceed MAX_LENGTH_M, fewer than 5 satellites are given, any two
+        points (satellites or receiver) are closer than 1 m, or the full
+        point set is coplanar (rank of the centered position stack < 3).
     """
 
     receiver: np.ndarray
@@ -75,8 +75,11 @@ class ScenarioGeometry:
                 f"need at least 5 satellites for a 5-eigenvalue test statistic, got {m}"
             )
         pts = np.vstack([self.receiver, self.satellites])
-        if not np.all(np.isfinite(pts)):
-            raise GeometryError("receiver and satellite positions must be finite")
+        if not np.all(np.abs(pts) <= MAX_LENGTH_M):  # NaN fails too
+            raise GeometryError(
+                "receiver and satellite positions must be finite, with coordinates "
+                f"at most {MAX_LENGTH_M:.4g} m in magnitude"
+            )
         diffs = pts[:, None, :] - pts[None, :, :]
         dist = np.linalg.norm(diffs, axis=2)
         np.fill_diagonal(dist, np.inf)
@@ -170,10 +173,10 @@ def generate_constellation(
             f"elevation mask must lie in [0, 90) degrees, got {elevation_mask_deg}"
         )
     # A NaN fails the comparison, so it is refused too.
-    if not EARTH_RADIUS_M < orbit_radius_m < np.inf:
+    if not EARTH_RADIUS_M < orbit_radius_m <= MAX_LENGTH_M:
         raise GeometryError(
-            f"orbit radius {orbit_radius_m} m must be finite and exceed the Earth "
-            f"radius {EARTH_RADIUS_M} m"
+            f"orbit radius {orbit_radius_m} m must be finite, exceed the Earth "
+            f"radius {EARTH_RADIUS_M} m and be at most {MAX_LENGTH_M:.4g} m"
         )
 
     rng = np.random.default_rng(seed)

@@ -152,9 +152,6 @@ def run_trials(
         k = min(_BLOCK, n_trials - start)
         rho = ws.rho[:, :k]
         np.add(nominal, block_noise(key, block, k, g.m, nm.sigma_v).T, out=rho)
-        # Columns 5.. of the spectrum are exact zeros, so ranking the five
-        # Ritz values with one of them gives the same first five values as
-        # ranking all m + 1.
         w = edm.rank5_eigvals(factors, rho, ws)
         w = np.take_along_axis(w, edm._order_indices(w), axis=-1)
         lam1 = w[:, 0]
@@ -164,7 +161,7 @@ def run_trials(
                 f"trial {start + int(bad[0])}: leading eigenvalue is zero (degenerate geometry)"
             )
         np.divide(w[:, 3] + w[:, 4], 2.0 * lam1, out=q[start : start + k])
-        lambdas[start : start + k] = w[:, :5]
+        lambdas[start : start + k] = w
     exceeded = q > threshold if threshold is not None else None
     return TrialBatch(q=q, lambdas=lambdas, exceeded=exceeded)
 

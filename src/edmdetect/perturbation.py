@@ -61,17 +61,6 @@ class SensitivityTable:
         except ValueError:
             raise KeyError(f"position {position} not tracked {self.positions}") from None
 
-    def nominal_value(self, position: int) -> float:
-        try:
-            return float(self.nominal[self.positions.index(position)])
-        except ValueError:
-            raise KeyError(f"position {position} not tracked {self.positions}") from None
-
-
-class NumeratorMoments(NamedTuple):
-    mu: float
-    sigma: float
-
 
 class RatioGaussian(NamedTuple):
     mu: float
@@ -156,22 +145,6 @@ def eigenvalue_variance(row: np.ndarray, sigma_v: float) -> float:
     return float(np.sum((row * sigma_v) ** 2))
 
 
-def numerator_moments(
-    table: SensitivityTable,
-    lambda4_nom: float,
-    lambda5_nom: float,
-    sigma_v: float,
-) -> NumeratorMoments:
-    """Gaussian moments of lambda_4 + lambda_5.
-
-    The variance uses the combined linear form sum_j (s4j + s5j) v_j, which
-    carries the covariance the two eigenvalues inherit from shared noise.
-    """
-    mu = float(lambda4_nom + lambda5_nom)
-    var = eigenvalue_variance(table.row(4) + table.row(5), sigma_v)
-    return NumeratorMoments(mu=mu, sigma=np.sqrt(var))
-
-
 def ratio_gaussian(
     mu_x: float, sigma_x: float, mu_y: float, sigma_y: float
 ) -> RatioGaussian:
@@ -225,25 +198,29 @@ def predict_q_distribution(
     """Predict the fault-free Gaussian distribution of q for a scenario.
 
     Pipeline: nominal linearisation (see _nominal_linearisation) ->
-    numerator and denominator moments -> Gaussian ratio. Numerator and
-    denominator are treated as independent; their first-order covariance is
-    reported as a diagnostic so the assumption can be checked. A moment
-    that overflows raises OverflowError.
+    numerator and denominator moments -> Gaussian ratio. The numerator's
+    variance is that of the combined form sum_j (s4j + s5j) v_j, which keeps
+    the covariance lambda_4 and lambda_5 inherit from shared noise.
+    Numerator and denominator are treated as independent; their first-order
+    covariance is reported as a diagnostic so the assumption can be checked.
+    A moment that overflows raises OverflowError.
     """
     _, table = _nominal_linearisation(g, nm)
-    lam1 = table.nominal_value(1)
+    lam1, lam4, lam5 = table.nominal
+    s1, s4, s5 = table.s
     with np.errstate(over="ignore", invalid="ignore"):
-        num = numerator_moments(table, table.nominal_value(4), table.nominal_value(5), nm.sigma_v)
-        sigma_den = 2.0 * np.sqrt(eigenvalue_variance(table.row(1), nm.sigma_v))
-        mu_den = 2.0 * lam1
-        ratio = ratio_gaussian(num.mu, num.sigma, mu_den, sigma_den)
-        cov = float(np.sum((table.row(4) + table.row(5)) * 2.0 * table.row(1)) * nm.sigma_v**2)
-    if not np.isfinite([num.sigma, sigma_den, ratio.sigma, cov]).all():
+        mu_num = float(lam4 + lam5)
+        sigma_num = np.sqrt(eigenvalue_variance(s4 + s5, nm.sigma_v))
+        sigma_den = 2.0 * np.sqrt(eigenvalue_variance(s1, nm.sigma_v))
+        mu_den = 2.0 * float(lam1)
+        ratio = ratio_gaussian(mu_num, sigma_num, mu_den, sigma_den)
+        cov = float(np.sum((s4 + s5) * 2.0 * s1) * nm.sigma_v**2)
+    if not np.isfinite([sigma_num, sigma_den, ratio.sigma, cov]).all():
         raise OverflowError(f"sigma_v = {nm.sigma_v:g} m overflows the predicted moments of q")
     warnings = (ratio.warning,) if ratio.warning else ()
     return StatisticDistribution(
-        mu_num=num.mu,
-        sigma_num=num.sigma,
+        mu_num=mu_num,
+        sigma_num=sigma_num,
         mu_den=mu_den,
         sigma_den=float(sigma_den),
         mu_q=ratio.mu,

@@ -1,5 +1,9 @@
-"""Shared fixtures: the default 12-satellite scenario and one large trial batch,
-plus the dense extended-precision spectrum the oracle tests compare against."""
+"""Shared fixtures: the default 12-satellite scenario, one large trial batch and
+the checked-in horizon rings, plus the dense extended-precision spectrum the
+oracle tests compare against."""
+
+import json
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -8,6 +12,7 @@ from edmdetect import NoiseModel, generate_constellation, run_trials
 
 DEFAULT_SEED = 1
 MASTER_SEED = 42
+RINGS = Path(__file__).resolve().parent / "data" / "rings"
 
 
 @pytest.fixture(scope="session")
@@ -33,6 +38,18 @@ def mc100k(scenario12, noise_default):
 @pytest.fixture(scope="session")
 def lambda_matrix_100k(mc100k):
     return mc100k.lambdas
+
+
+@pytest.fixture(scope="session")
+def rings():
+    """The horizon-ring scenario files (data/rings, written by make_rings.py).
+
+    One (path, manifest row) per file, in manifest order. A row holds the
+    file's VDOP, its predict exit code and sigma_q, and its 200k-trial
+    moments of q; see make_rings.py.
+    """
+    manifest = json.loads((RINGS / "manifest.json").read_text())
+    return [(RINGS / row["file"], row) for row in manifest["scenarios"]]
 
 
 def dense_mp_eigenvalues(satellites, rho, dps=40):

@@ -5,20 +5,27 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import edmdetect
 from edmdetect import _floatfmt
 from edmdetect import (
     DegenerateEigenvalueError,
+    GeometryError,
     NoiseModel,
+    ScenarioGeometry,
+    SpectrumError,
     centered_gram,
     centered_gram_eigvals,
     generate_constellation,
     predict_q_distribution,
+    run_trials,
     true_ranges,
 )
 from edmdetect.cli import (
@@ -30,6 +37,7 @@ from edmdetect.cli import (
     EXIT_OK,
     _build_parser,
     main,
+    read_mapping,
 )
 from edmdetect.perturbation import GAP_TOL_REL_DEFAULT
 
@@ -410,14 +418,29 @@ class TestConfigHandling:
         ("--sigma", "1e160", EXIT_CONFIG, "config", "sigma_v"),
         ("--bias", "1e200", EXIT_CONFIG, "geometry", "finite squares"),
         ("--sigma", "1e150", EXIT_NUMERICAL, "numerical", "sigma_v"),
+        *(
+            pytest.param(
+                "--config", f"constellation: {{n_sats: 8, orbit_radius_m: {radius}}}",
+                EXIT_CONFIG, "geometry", "orbit radius", id=f"orbit-radius-{radius}",
+            )
+            for radius in ("1.0e154", "1.0e160")
+        ),
+        pytest.param(
+            "--config", "{receiver: [1.0e200, 0, 0], satellites: [[0, 1.0e200, 0], "
+            "[0, 0, 1.0e200], [-1.0e200, 0, 0], [0, -1.0e200, 0], [0, 0, -1.0e200]]}",
+            EXIT_CONFIG, "geometry", "coordinates at most", id="points-at-1e200",
+        ),
     ])
     def test_overflowing_noise_or_bias_is_one_line_typed_error(
         self, tmp_path, command, flag, value, code, kind, words
     ):
-        # sigma_v^2 or rho^2 overflows a float (exit 2), or sigma_v^2 is
-        # finite but the predicted moments are not (exit 3): a typed error,
-        # and no traceback or RuntimeWarning on stderr (a fresh interpreter
-        # shows both).
+        # sigma_v^2, rho^2 or a position's square overflows a float (exit 2),
+        # or sigma_v^2 is finite but the predicted moments are not (exit 3):
+        # a typed error, and no traceback or RuntimeWarning on stderr (a
+        # fresh interpreter shows both). Config values are written to a file.
+        if flag == "--config":
+            (tmp_path / "cfg.yaml").write_text(value + "\n")
+            value = str(tmp_path / "cfg.yaml")
         proc = subprocess.run(
             [sys.executable, "-m", "edmdetect.cli", command, flag, value, "--trials", "10",
              "--out", str(tmp_path / "o")],
@@ -427,6 +450,68 @@ class TestConfigHandling:
         assert proc.stderr.startswith(f"error ({kind}): ") and proc.stderr.count("\n") == 1
         assert words in proc.stderr
         assert not (tmp_path / "o").exists()
+
+    # The errors main maps to exit 2 or 3 (ValueError is NoiseModel's, which
+    # resolve_config reports as a config error).
+    TYPED = (GeometryError, DegenerateEigenvalueError, SpectrumError, ZeroDivisionError,
+             OverflowError)
+    SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -1.0, 5e-324, 1e-300, 1e63, 1e100, 1e155, 1e300]
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(
+        m=st.integers(5, 9),
+        # Each input is usable about half the time, so most examples reach the calls.
+        scale=st.one_of(st.just(1.0), st.sampled_from([1e-3, 1e20, 1e62, 1e63, 1e100, 1e200])),
+        flatten=st.one_of(st.none(), st.sampled_from([0.0, 1e-300, 1e-3, 1.0, 30.0, 1e3])),
+        position=st.one_of(st.none(), st.sampled_from(SPECIAL)),
+        pseudorange=st.one_of(st.none(), st.sampled_from(SPECIAL)),
+        sigma=st.one_of(st.just(3.0), st.sampled_from([300.0, 1e60, 1e150, *SPECIAL[:7]])),
+        bias=st.one_of(st.just(1e5), st.sampled_from([1.0, -1e5, 1e100, 1.7e308, *SPECIAL[:7]])),
+    )
+    def test_bad_inputs_give_finite_values_or_typed_errors(
+        self, m, scale, flatten, position, pseudorange, sigma, bias
+    ):
+        # NaN, infinite, zero, negative, tiny and overflowing positions,
+        # pseudoranges, sigma_v and biases, and near-coplanar satellite sets
+        # (every point moved to within ``flatten`` of the plane z = R_E): each
+        # call returns finite values only or raises an error main maps to
+        # exit 2 or 3. A RuntimeWarning fails the test (pyproject).
+        g = generate_constellation(m, 10.0, seed=m)
+        pts = np.vstack([g.receiver, g.satellites])
+        if flatten is not None:
+            pts[:, 2] = 6.371e6 + flatten * np.sign(pts[:, 2] - 6.371e6)
+        pts *= scale
+        if position is not None:
+            pts[m // 2, 1] = position
+        try:
+            nm = NoiseModel(sigma, bias)
+        except ValueError:
+            nm = None
+        try:
+            geom = ScenarioGeometry(pts[0], pts[1:])
+        except GeometryError:
+            return
+        rho = true_ranges(geom) + (bias if np.isfinite(bias) else 1e5)
+        if pseudorange is not None:
+            rho[0] = pseudorange
+
+        def predicted():
+            dist = asdict(predict_q_distribution(geom, nm))
+            return [value for value in dist.values() if isinstance(value, float)]
+
+        def trials():
+            batch = run_trials(geom, nm, 5, 1)
+            return np.append(batch.q, batch.lambdas)
+
+        calls = [lambda: centered_gram_eigvals(geom.satellites, rho)]
+        if nm is not None:
+            calls += [predicted, trials]
+        for call in calls:
+            try:
+                values = call()
+            except self.TYPED:
+                continue
+            assert np.all(np.isfinite(values))
 
     def test_degenerate_summary_has_no_nan(self, tmp_path):
         # sigma_v = 1e-300 leaves every eigenvalue column constant up to
@@ -443,6 +528,33 @@ class TestConfigHandling:
 
     def test_exit_codes_are_distinct(self):
         assert len({EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_AUDIT}) == 4
+
+
+def vertical_dop(receiver, satellites):
+    """VDOP of the unit lines of sight from the receiver, up along the receiver's radius."""
+    receiver, satellites = np.asarray(receiver), np.asarray(satellites)
+    los = satellites - receiver
+    los /= np.linalg.norm(los, axis=1)[:, None]
+    up = receiver / np.linalg.norm(receiver)
+    design = np.column_stack([-los, np.ones(len(los))])
+    return float(np.sqrt(up @ np.linalg.inv(design.T @ design)[:3, :3] @ up))
+
+
+def test_ring_scenarios_match_their_manifest(rings, tmp_path):
+    # Every checked-in ring against its manifest row: predict's exit code,
+    # sigma_q within 1e-6 relative (room for a last-digit move of the
+    # prediction), and the VDOP recomputed from the file's positions.
+    for path, row in rings:
+        out = tmp_path / path.stem
+        assert run(["predict", "--config", str(path), "--out", str(out)]) == row["predict_exit"]
+        if row["sigma_q"] is not None:
+            doc = json.loads((out / "prediction.json").read_text())
+            assert doc["sigma_q"] == pytest.approx(row["sigma_q"], rel=1e-6)
+        doc = read_mapping(path)
+        assert vertical_dop(doc["receiver"], doc["satellites"]) == pytest.approx(
+            row["vdop"], rel=1e-9
+        )
+    assert {row["predict_exit"] for _, row in rings} == {EXIT_OK, EXIT_NUMERICAL}
 
 
 class TestImportBudget:

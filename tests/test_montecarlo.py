@@ -803,6 +803,19 @@ def test_trial_block_matches_plain_pipeline(small_scenario):
         assert q[t] == pytest.approx(q_of_sample(small_scenario, sample), rel=1e-12)
 
 
+def _ranked_public_kernel(g, nm, n, seed):
+    """The unordered centered_gram_eigvals of run_trials' block_noise rows, and
+    all m + 1 values of each row ranked by _order_indices."""
+    key = noise_key(seed)
+    rho = np.concatenate([
+        true_ranges(g) + nm.bias_b
+        + block_noise(key, b, min(_BLOCK, n - b * _BLOCK), g.m, nm.sigma_v)
+        for b in range(-(-n // _BLOCK))
+    ])
+    w = centered_gram_eigvals(g.satellites, rho)
+    return w, np.take_along_axis(w, _order_indices(w), axis=-1)
+
+
 @pytest.mark.parametrize("m", [5, 12, 30])
 @pytest.mark.parametrize("n", [1, 1023, 1025])
 @pytest.mark.parametrize("workers", [1, 2])
@@ -815,14 +828,27 @@ def test_run_trials_is_the_public_kernel_ranked(m, n, workers):
     g = generate_constellation(m, 10.0 if m < 30 else 5.0, seed=1)
     nm = NoiseModel(sigma_v=3.0, bias_b=1.0e5)
     batch = run_trials(g, nm, n, 9, workers=workers)
-    d = true_ranges(g)
-    key = noise_key(9)
-    rho = np.concatenate([
-        d + nm.bias_b + block_noise(key, b, min(_BLOCK, n - b * _BLOCK), m, nm.sigma_v)
-        for b in range(-(-n // _BLOCK))
-    ])
-    w = centered_gram_eigvals(g.satellites, rho)
-    main = np.take_along_axis(w, _order_indices(w), axis=-1)
+    _, main = _ranked_public_kernel(g, nm, n, 9)
+    assert np.array_equal(batch.lambdas, main[:, :5])
+    assert np.array_equal(batch.q, (main[:, 3] + main[:, 4]) / (2.0 * main[:, 0]))
+
+
+@pytest.mark.parametrize("scenario, bias, sigma", [
+    ("scenario12", 0.0, 3.0), ("scenario12", 0.0, 300.0),
+    ("scenario12", 1.0, 3.0), ("scenario12", 1.0, 300.0),
+    ("coplanar_scenario", 1.0e5, 3.0),
+])
+def test_run_trials_ranks_five_columns_where_the_order_moves(request, scenario, bias, sigma):
+    # run_trials ranks the kernel's five values alone. Where |lambda_5|
+    # reaches lambda_4 (small biases) the ranking moves lambda_5, and on the
+    # coplanar geometry every lane takes the eigvalsh fallback, whose values
+    # come out in ascending order; the ranked five must still be, bit for
+    # bit, the first five of all m + 1 values ranked.
+    g = request.getfixturevalue(scenario)
+    nm = NoiseModel(sigma_v=sigma, bias_b=bias)
+    batch = run_trials(g, nm, 1025, 9)
+    w, main = _ranked_public_kernel(g, nm, 1025, 9)
+    assert np.any(_order_indices(w[:, :5]) != np.arange(5))
     assert np.array_equal(batch.lambdas, main[:, :5])
     assert np.array_equal(batch.q, (main[:, 3] + main[:, 4]) / (2.0 * main[:, 0]))
 

@@ -23,14 +23,13 @@ from edmdetect import (
     generate_constellation,
     gram_sensitivities,
     nominal_pseudoranges,
-    numerator_moments,
     predict_q_distribution,
     ratio_gaussian,
     spectrum,
     true_ranges,
 )
 from edmdetect.edm import GramSpectrum, centering_matrix
-from edmdetect.perturbation import SensitivityTable, StatisticDistribution
+from edmdetect.perturbation import StatisticDistribution
 
 RNG = np.random.default_rng(555)
 
@@ -251,35 +250,34 @@ class TestEigenvalueVariance:
             assert analytic == pytest.approx(empirical, rel=0.05)
 
 
-class TestNumeratorMoments:
-    def make_table(self, s4, s5):
-        s4 = np.asarray(s4, dtype=float)
-        s5 = np.asarray(s5, dtype=float)
-        return SensitivityTable(
-            positions=(4, 5),
-            s=np.vstack([s4, s5]),
-            nominal=np.array([2.0, -1.0]),
-        )
-
+class TestPredictedNumerator:
+    # predict_q_distribution forms the numerator lambda_4 + lambda_5 itself:
+    # its mean from the nominal values, its spread from the combined row s4 + s5.
     def test_zero_noise(self):
-        table = self.make_table([1.0, 2.0], [3.0, 4.0])
-        mom = numerator_moments(table, 2.0, -1.0, 0.0)
-        assert mom.mu == 1.0 and mom.sigma == 0.0
+        assert eigenvalue_variance(np.array([1.0, 2.0, 4.0]), 0.0) == 0.0
 
-    def test_cancellation_through_shared_noise(self):
-        table = self.make_table([1.0, -2.0, 0.5], [-1.0, 2.0, -0.5])
-        mom = numerator_moments(table, 2.0, -1.0, 3.0)
-        assert mom.sigma == 0.0
-
-    def test_matches_monte_carlo(self, scenario12, noise_default, lambda_matrix_100k):
+    def test_cancellation_through_shared_noise(self, scenario12, noise_default):
+        # Opposite rows cancel in the combined form ...
+        s4 = np.array([1.0, -2.0, 0.5])
+        assert eigenvalue_variance(s4 + -s4, 3.0) == 0.0
+        # ... and the prediction's sigma_num is that form's, bit for bit, not
+        # the sum of the two variances that independent eigenvalues would give.
         rho, spec = nominal_pipeline(scenario12, noise_default)
         table = eigenvalue_sensitivities(spec, gram_sensitivities(rho))
-        mom = numerator_moments(
-            table, table.nominal_value(4), table.nominal_value(5), noise_default.sigma_v
+        sigma = noise_default.sigma_v
+        dist = predict_q_distribution(scenario12, noise_default)
+        assert dist.mu_num == float(table.nominal[1] + table.nominal[2])
+        assert dist.sigma_num == np.sqrt(eigenvalue_variance(table.row(4) + table.row(5), sigma))
+        independent = np.sqrt(
+            eigenvalue_variance(table.row(4), sigma) + eigenvalue_variance(table.row(5), sigma)
         )
+        assert dist.sigma_num != pytest.approx(independent, rel=1e-6)
+
+    def test_matches_monte_carlo(self, scenario12, noise_default, lambda_matrix_100k):
+        dist = predict_q_distribution(scenario12, noise_default)
         nums = lambda_matrix_100k[:, 3] + lambda_matrix_100k[:, 4]
-        assert mom.mu == pytest.approx(nums.mean(), rel=0.05)
-        assert mom.sigma == pytest.approx(nums.std(ddof=1), rel=0.05)
+        assert dist.mu_num == pytest.approx(nums.mean(), rel=0.05)
+        assert dist.sigma_num == pytest.approx(nums.std(ddof=1), rel=0.05)
 
 
 class TestRatioGaussian:
