@@ -20,14 +20,14 @@ import numpy as np
 from . import edm, geometry, perturbation
 from .errors import SpectrumError
 
-# Admissible central-difference steps h of the finite-difference audit.
-FD_STEP_RANGE_M = (1e-6, 1.0)
-
-# Tolerance and fixed step of the audit's FD row. The FD oracle runs at 40
-# digits, so the step adds only truncation error: at 1e-6 m the discrepancy
-# moves by under 0.1% (m = 5, 12 and 30); at 1 m it grows.
+# Tolerance of the FD row. Its step, the admissible steps h and the floor of
+# the relative discrepancy are multiples of the length scale L: 1e-3 m,
+# [1e-6, 1] m and 1 m^2/m at L = 2^24 m. At 40 digits the step adds only
+# truncation error: under 0.1% at 1e-6 m (m = 5, 12 and 30); it grows at 1 m.
 AUDIT_FD_TOL = 1e-4
-AUDIT_FD_STEP = 1e-3
+AUDIT_FD_STEP = 1e-3 * 2.0**-24
+FD_STEP_RANGE = (1e-6 * 2.0**-24, 2.0**-24)
+FD_FLOOR = 2.0**-24
 
 
 @dataclass
@@ -42,11 +42,11 @@ class FiniteDifferenceAudit:
     max_relative_discrepancy: float
 
 
-def relative_discrepancy(reference: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """|reference - other| / max(|reference|, 1), elementwise."""
+def relative_discrepancy(reference: np.ndarray, other: np.ndarray, floor: float) -> np.ndarray:
+    """|reference - other| / max(|reference|, floor), elementwise."""
     reference = np.asarray(reference, dtype=float)
     other = np.asarray(other, dtype=float)
-    return np.abs(reference - other) / np.maximum(np.abs(reference), 1.0)
+    return np.abs(reference - other) / np.maximum(np.abs(reference), floor)
 
 
 # The finite-difference oracle works in decimal floating point at this many
@@ -189,10 +189,10 @@ def finite_difference_audit(
     is (lambda_i(v_j = +h) - lambda_i(v_j = -h)) / (2h) with each perturbed
     spectrum recomputed from the positions in 40-digit arithmetic (see
     _rank5_oracle). The analytic side is the nominal linearisation
-    the prediction uses. Discrepancies are relative with an absolute floor
-    of 1 m^2/m.
+    the prediction uses. ``h`` (m) lies in FD_STEP_RANGE times the length
+    scale L; discrepancies are relative, with a floor of FD_FLOOR L.
     """
-    lo, hi = FD_STEP_RANGE_M
+    lo, hi = (x * g.length_scale for x in FD_STEP_RANGE)
     if not lo <= h <= hi:
         raise ValueError(f"step h must lie in [{lo:g}, {hi:g}] m, got {h}")
     rho, table = perturbation._nominal_linearisation(g, nm)
@@ -211,7 +211,7 @@ def finite_difference_audit(
             w_minus = eigenvalues(minus)
             for a, pos in enumerate(table.positions):
                 fd[a, j] = float((w_plus[pos - 1] - w_minus[pos - 1]) / (2 * hd))
-    rel = relative_discrepancy(table.s, fd)
+    rel = relative_discrepancy(table.s, fd, FD_FLOOR * g.length_scale)
     return FiniteDifferenceAudit(
         h=h,
         positions=table.positions,
@@ -231,8 +231,9 @@ def run_checks(
     noiseless pseudoranges, without and with the clock bias, above the
     prediction's own gap floor (GAP_TOL_REL_DEFAULT of the largest magnitude).
     """
-    err = finite_difference_audit(geom, nm, AUDIT_FD_STEP).max_relative_discrepancy
-    rows = [(f"finite-difference max relative discrepancy (h={AUDIT_FD_STEP} m)",
+    h = AUDIT_FD_STEP * geom.length_scale
+    err = finite_difference_audit(geom, nm, h).max_relative_discrepancy
+    rows = [(f"finite-difference max relative discrepancy (h={h} m)",
              err, AUDIT_FD_TOL, err <= AUDIT_FD_TOL)]
     d = geometry.true_ranges(geom)
     for name, rho, rank in (

@@ -28,6 +28,9 @@ SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 # of order n |r|^2; 2^-48 of the largest float's fourth root leaves 2^192
 # for n^2 and the constants.
 MAX_LENGTH_M = sys.float_info.max**0.25 / 2.0**48
+# The smallest scenario length scale L (m): down to it the numerics keep their
+# bits under rescaling; the dense eigh first moved at 2^-199 m (m = 5 to 60).
+MIN_LENGTH_M = 2.0**-192
 
 _NEG_CLIP_REL = 1e-6
 
@@ -55,11 +58,18 @@ class GramSpectrum:
         return float(self.eigenvalues[position - 1]), self.eigenvectors[:, position - 1]
 
 
+def checked_positions(X: np.ndarray) -> np.ndarray:
+    """``X`` as floats, with every coordinate finite and at most MAX_LENGTH_M in magnitude."""
+    X = np.asarray(X, dtype=float)
+    if not np.all(np.abs(X) <= MAX_LENGTH_M):  # NaN fails too
+        raise GeometryError(
+            f"positions must be finite, with coordinates at most {MAX_LENGTH_M:.4g} m in magnitude")
+    return X
+
+
 def gram_from_positions(X: np.ndarray) -> np.ndarray:
     """Gram matrix of the 3 x m position matrix: entry (i, j) = r_i . r_j."""
-    X = np.asarray(X, dtype=float)
-    if not np.all(np.isfinite(X)):
-        raise ValueError("positions must be finite")
+    X = checked_positions(X)
     G = X.T @ X
     return 0.5 * (G + G.T)
 
@@ -75,8 +85,7 @@ def edm_from_gram(G: np.ndarray) -> np.ndarray:
     D = g[None, :] - 2.0 * G + g[:, None]
     D = 0.5 * (D + D.T)
     np.fill_diagonal(D, 0.0)
-    scale = np.abs(D).max() if D.size else 0.0
-    if D.min() < -_NEG_CLIP_REL * max(scale, 1.0):
+    if D.min() < -_NEG_CLIP_REL * np.abs(D).max():
         raise ValueError("input Gram matrix produced significantly negative squared distances")
     np.clip(D, 0.0, None, out=D)
     return D
@@ -88,12 +97,13 @@ def _check_pseudoranges(rho: np.ndarray, m: int) -> np.ndarray:
     if rho.ndim == 0 or rho.shape[-1] != m:
         raise ValueError(f"pseudorange vectors need {m} entries, one per satellite, "
                          f"got shape {rho.shape}")
-    # min and max propagate NaN, so a NaN fails the first comparison.
-    if rho.size and not 0 < rho.min() <= rho.max() <= MAX_LENGTH_M:
+    if rho.size and not 0 < rho.min():  # min propagates NaN, so NaN fails here
         raise GeometryError(
-            "pseudoranges must all be positive and finite, with finite squares of "
-            f"their squares (at most {MAX_LENGTH_M:.4g} m)"
-        )
+            f"pseudoranges must all be positive and finite; the smallest is {rho.min():.4g} m")
+    if rho.size and not rho.max() <= MAX_LENGTH_M:
+        raise GeometryError(
+            "pseudoranges must all be positive and finite, with finite squares of their squares "
+            f"(at most {MAX_LENGTH_M:.4g} m); the largest is {rho.max():.4g} m")
     return rho
 
 
@@ -163,9 +173,7 @@ class Rank5Factors:
     """
 
     def __init__(self, satellites: np.ndarray):
-        S = np.asarray(satellites, dtype=float)
-        if not np.all(np.abs(S) <= MAX_LENGTH_M):  # NaN fails too
-            raise GeometryError(f"positions must be finite, at most {MAX_LENGTH_M:.4g} m")
+        S = checked_positions(satellites)
         self.m = S.shape[0]
         n = self.m + 1
         P = np.vstack([np.zeros(3), S])

@@ -7,11 +7,12 @@ safe and results are reproducible bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .edm import MAX_LENGTH_M, SQRT_FLOAT_MAX
+from .edm import MAX_LENGTH_M, MIN_LENGTH_M, SQRT_FLOAT_MAX, checked_positions
 from .errors import ConstellationSamplingError, GeometryError
 
 EARTH_RADIUS_M = 6_371_000.0
@@ -23,7 +24,7 @@ DEFAULT_ELEVATION_MASK_DEG = 10.0
 DEFAULT_SIGMA_V_M = 3.0
 DEFAULT_BIAS_M = 1.0e5
 
-_MIN_SEPARATION_M = 1.0
+_MIN_SEPARATION_REL = 2.0**-24  # of the length scale L: 1 m at L = 2^24 m
 _RANK_TOL_REL = 1e-9
 _DRAW_BATCH = 256
 
@@ -47,12 +48,15 @@ class ScenarioGeometry:
     satellites : (m, 3) array
         One satellite position per row, meters.
 
+    ``length_scale`` is L = 2^floor(log2 max_j |s_j|), 2^24 m for GPS orbits;
+    the numerics' length rules are multiples of L, exact under 2^k rescaling.
+
     Raises
     ------
     GeometryError
         If the arrays have the wrong shape or entries that are not finite
-        or exceed MAX_LENGTH_M, fewer than 5 satellites are given, any two
-        points (satellites or receiver) are closer than 1 m, or the full
+        or exceed MAX_LENGTH_M, fewer than 5 satellites are given, L is
+        below MIN_LENGTH_M, two points are 2^-24 L or less apart, or the
         point set is coplanar (rank of the centered position stack < 3).
     """
 
@@ -74,27 +78,29 @@ class ScenarioGeometry:
             raise GeometryError(
                 f"need at least 5 satellites for a 5-eigenvalue test statistic, got {m}"
             )
-        pts = np.vstack([self.receiver, self.satellites])
-        if not np.all(np.abs(pts) <= MAX_LENGTH_M):  # NaN fails too
-            raise GeometryError(
-                "receiver and satellite positions must be finite, with coordinates "
-                f"at most {MAX_LENGTH_M:.4g} m in magnitude"
-            )
+        pts = checked_positions(np.vstack([self.receiver, self.satellites]))
+        # Norms in units of 2^e, so no square underflows; then lengths in units of L.
+        _, e = math.frexp(np.abs(self.satellites).max())
+        _, f = math.frexp(np.linalg.norm(np.ldexp(self.satellites, -e), axis=1).max())
+        self.length_scale = L = math.ldexp(1.0, e + f - 1)
+        if L < MIN_LENGTH_M:
+            raise GeometryError(f"satellite positions have length scale {L:.4g} m, below the "
+                                f"smallest supported {MIN_LENGTH_M:.4g} m")
+        pts = np.ldexp(pts, 1 - e - f)
         diffs = pts[:, None, :] - pts[None, :, :]
         dist = np.linalg.norm(diffs, axis=2)
         np.fill_diagonal(dist, np.inf)
-        if dist.min() <= _MIN_SEPARATION_M:
+        if dist.min() <= _MIN_SEPARATION_REL:
             i, j = np.unravel_index(np.argmin(dist), dist.shape)
             raise GeometryError(
-                f"points {i} and {j} are {dist[i, j]:.3g} m apart "
-                f"(min separation {_MIN_SEPARATION_M} m; index 0 is the receiver)"
-            )
+                f"points {i} and {j} are {dist[i, j] * L:.3g} m apart (min separation "
+                f"{_MIN_SEPARATION_REL * L:.3g} m; index 0 is the receiver)")
         centered = pts - pts.mean(axis=0)
         sv = np.linalg.svd(centered, compute_uv=False)
         if sv[2] <= _RANK_TOL_REL * sv[0]:
             raise GeometryError(
                 "receiver and satellites are coplanar (centered position stack has "
-                f"rank < 3: singular values {sv[:3]})"
+                f"rank < 3: singular values {sv[:3] * L} m)"
             )
         self.receiver.flags.writeable = False
         self.satellites.flags.writeable = False

@@ -118,7 +118,7 @@ def eigenvalue_sensitivities(spec: edm.GramSpectrum, rho: np.ndarray) -> Sensiti
     DegenerateEigenvalueError is raised.
     """
     w = spec.eigenvalues
-    tol = GAP_TOL_REL_DEFAULT * max(float(np.abs(w).max()), 1.0)
+    tol = GAP_TOL_REL_DEFAULT * float(np.abs(w).max())
     rho = np.asarray(rho, dtype=float)
     rows = np.empty((len(TRACKED_DEFAULT), rho.shape[0]))
     nominal = np.empty(len(TRACKED_DEFAULT))

@@ -398,6 +398,20 @@ class TestConfigHandling:
         assert "positive" in err
         assert not (tmp_path / "o").exists()
 
+    def test_negative_noise_draw_names_the_value(self, tmp_path):
+        # sigma_v = 1e8 m draws a pseudorange below zero at the default seed:
+        # the error names the smallest value, not the overflow bound.
+        proc = subprocess.run(
+            [sys.executable, "-m", "edmdetect.cli", "simulate", "--sigma", "1e8",
+             "--trials", "10", "--out", str(tmp_path / "o")],
+            env=fresh_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.startswith("error (geometry): ") and proc.stderr.count("\n") == 1
+        assert re.search(r"positive and finite; the smallest is -\d", proc.stderr)
+        assert "squares" not in proc.stderr
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("radius", [".inf", ".nan"])
     def test_non_finite_orbit_radius_is_one_line_geometry_error(self, tmp_path, radius):
         # A fresh interpreter, so that any RuntimeWarning reaches stderr too.
@@ -430,6 +444,12 @@ class TestConfigHandling:
             "[0, 0, 1.0e200], [-1.0e200, 0, 0], [0, -1.0e200, 0], [0, 0, -1.0e200]]}",
             EXIT_CONFIG, "geometry", "coordinates at most", id="points-at-1e200",
         ),
+        pytest.param(
+            "--config", "{receiver: [1.0e-58, 0, 0], satellites: [[0, 1.0e-58, 0], "
+            "[0, 0, 1.0e-58], [-1.0e-58, 0, 0], [0, -1.0e-58, 0], [0, 0, -1.0e-58]]}",
+            EXIT_CONFIG, "geometry", "below the smallest supported 1.593e-58 m",
+            id="points-below-min-length",
+        ),
     ])
     def test_overflowing_noise_or_bias_is_one_line_typed_error(
         self, tmp_path, command, flag, value, code, kind, words
@@ -461,7 +481,9 @@ class TestConfigHandling:
     @given(
         m=st.integers(5, 9),
         # Each input is usable about half the time, so most examples reach the calls.
-        scale=st.one_of(st.just(1.0), st.sampled_from([1e-3, 1e20, 1e62, 1e63, 1e100, 1e200])),
+        # 2^-220 puts the length scale below edm.MIN_LENGTH_M.
+        scale=st.one_of(st.just(1.0), st.sampled_from(
+            [2.0**-220, 2.0**-100, 2.0**-40, 1e-3, 1e20, 1e62, 1e63, 1e100, 1e200])),
         flatten=st.one_of(st.none(), st.sampled_from([0.0, 1e-300, 1e-3, 1.0, 30.0, 1e3])),
         position=st.one_of(st.none(), st.sampled_from(SPECIAL)),
         pseudorange=st.one_of(st.none(), st.sampled_from(SPECIAL)),

@@ -189,6 +189,9 @@ class TestCenteredGramEigvals:
             centered_gram_eigvals(
                 scenario12.satellites, np.where(np.arange(d.size) == 4, 1e155, d)
             )
+        # So is a position whose Gram entries would overflow.
+        with pytest.raises(GeometryError, match="coordinates at most"):
+            centered_gram(scenario12.satellites * 1e160, d)
 
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)

@@ -2,9 +2,12 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edmdetect import (
     ConfigError,
@@ -15,10 +18,14 @@ from edmdetect import (
     elevation_angles,
     generate_constellation,
     nominal_pseudoranges,
+    predict_q_distribution,
+    run_trials,
     sample_pseudoranges,
     true_ranges,
 )
+from edmdetect.audit import run_checks
 from edmdetect.cli import _build_parser, build_scenario, config_value, read_mapping, resolve_config
+from edmdetect.edm import MIN_LENGTH_M
 from edmdetect.geometry import EARTH_RADIUS_M, _ranges
 
 
@@ -118,6 +125,62 @@ class TestScenarioGeometryInvariants:
         g = generate_constellation(6, 10.0, seed=2)
         with pytest.raises(ValueError):
             g.satellites[0, 0] = 0.0
+
+
+class TestLengthScale:
+    SCENARIO5 = generate_constellation(5, 10.0, seed=1)
+    NOISE = NoiseModel(3.0, 1e5)
+
+    @staticmethod
+    def scaled(g, nm, factor):
+        return (ScenarioGeometry(g.receiver * factor, g.satellites * factor),
+                NoiseModel(nm.sigma_v * factor, nm.bias_b * factor))
+
+    @staticmethod
+    def results(g, nm):
+        batch = run_trials(g, nm, 64, 1)
+        dist = predict_q_distribution(g, nm)
+        checks = [(value, tol, ok) for _, value, tol, ok in run_checks(g, nm)]
+        return batch.q, batch.lambdas, (dist.mu_q, dist.sigma_q), checks
+
+    @pytest.mark.parametrize("radius", [1.68e7, 2.656e7, 3.3e7])
+    def test_scale_is_two_to_the_24_for_gps_like_orbits(self, radius):
+        assert generate_constellation(6, 10.0, radius, seed=2).length_scale == 2.0**24
+
+    def test_tiny_coordinates_do_not_underflow(self):
+        # Squares of 1e-200 m coordinates underflow to zero; L must not.
+        g = generate_constellation(6, 10.0, seed=2)
+        radius = np.linalg.norm(g.satellites, axis=1).max()
+        L = 2.0 ** math.floor(math.log2(radius * 1e-50))
+        assert ScenarioGeometry(g.receiver * 1e-50, g.satellites * 1e-50).length_scale == L
+        L = 2.0 ** math.floor(math.log2(radius * 1e-200))
+        with pytest.raises(GeometryError, match=re.escape(f"length scale {L:.4g} m, below")):
+            ScenarioGeometry(g.receiver * 1e-200, g.satellites * 1e-200)
+
+    @pytest.fixture(scope="class")
+    def unscaled(self):
+        return self.results(self.SCENARIO5, self.NOISE)
+
+    @settings(max_examples=20, deadline=None, database=None, derandomize=True)
+    @given(k=st.integers(-60, 150))
+    @example(k=-60)
+    @example(k=150)
+    @example(k=int(math.log2(MIN_LENGTH_M)) - 24)  # L = MIN_LENGTH_M, the smallest admitted
+    def test_power_of_two_rescaling_is_bit_exact(self, unscaled, k):
+        # q is a ratio of eigenvalues: scaling positions, sigma_v and bias by
+        # 2^k scales every eigenvalue by exactly 2^(2k) and leaves q, its
+        # prediction and every audit row bit for bit as they were.
+        q, lambdas, predicted, checks = unscaled
+        q_k, lambdas_k, predicted_k, checks_k = self.results(
+            *self.scaled(self.SCENARIO5, self.NOISE, 2.0**k))
+        assert np.array_equal(q_k, q)
+        assert np.array_equal(lambdas_k, lambdas * 2.0 ** (2 * k))
+        assert predicted_k == predicted
+        assert checks_k == checks
+
+    def test_default_scenario_scaled_by_1e30_passes_the_audit(self):
+        g, nm = self.scaled(generate_constellation(12, 10.0, seed=1), self.NOISE, 1e30)
+        assert all(ok for *_, ok in run_checks(g, nm))
 
 
 class TestTrueRanges:

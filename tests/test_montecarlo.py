@@ -555,11 +555,11 @@ class TestInjectFault:
 class TestFiniteDifferenceAudit:
     def test_identical_tables_give_exact_zero(self):
         table = np.zeros((3, 12))
-        assert np.all(relative_discrepancy(table, table) == 0.0)
-        assert relative_discrepancy(np.array([5.0]), np.array([5.0]))[0] == 0.0
+        assert np.all(relative_discrepancy(table, table, 1.0) == 0.0)
+        assert relative_discrepancy(np.array([5.0]), np.array([5.0]), 1.0)[0] == 0.0
 
     def test_floor_applies_below_unit_magnitude(self):
-        out = relative_discrepancy(np.array([1e-8]), np.array([2e-8]))
+        out = relative_discrepancy(np.array([1e-8]), np.array([2e-8]), 1.0)
         assert out[0] == pytest.approx(1e-8, rel=1e-9)
 
     @pytest.mark.parametrize("h", [1e-7, 2.0])
