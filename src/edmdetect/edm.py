@@ -8,8 +8,8 @@ fault) activates two additional eigenvalues, and the test statistic
     q = (lambda_4 + lambda_5) / (2 * lambda_1)
 
 measures their size relative to the dominant one. All functions are pure,
-except that rank5_eigvals, the trial kernel's per-block step, writes into
-the workspace it is given.
+except that rank5_eigvals, the trial kernel's per-block step, and
+rank5_by_magnitude write into the buffers they are given.
 """
 
 from __future__ import annotations
@@ -228,9 +228,7 @@ class Rank5Workspace:
     secular solve's ``roots`` and ``terms`` hold one row per root, or per
     root and other pole. One workspace serves every block of a run: the
     same buffers allocated afresh per block give the same bits and user
-    CPU, but a 100k-trial simulate then took 9,757 minor page faults, not
-    7,494, and 0.036 s of system CPU, not 0.026 s (medians of 10 fresh
-    processes, 2-core VM), as glibc returned and refaulted their pages.
+    CPU, but cost system CPU, as glibc returns and refaults their pages.
     """
 
     def __init__(self, m: int, k: int):
@@ -483,6 +481,26 @@ def _order_indices(w: np.ndarray) -> np.ndarray:
     position 5 in the zero cluster. Every spectrum is ranked this way.
     """
     return np.argsort(-np.abs(w), axis=-1, kind="stable")
+
+
+def rank5_by_magnitude(w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """rank5_eigvals' (k, 5) values, ranked into ``out`` as _order_indices ranks them.
+
+    A certified lane comes out as lambda_1 >= lambda_2 >= lambda_3 >
+    lambda_4 > 0 > lambda_5, so a swap of lambda_4 and lambda_5 where
+    |lambda_5| > lambda_4 ranks it (none on a tie, as the stable sort keeps
+    the first). Only the lanes a swap cannot rank are sorted: those with
+    |lambda_5| > lambda_3, and the eigvalsh fallback's ascending ones.
+    """
+    out[:] = w
+    a = np.abs(w)
+    np.copyto(out[:, 3:], w[:, :2:-1], where=(a[:, 4] > a[:, 3])[:, None])
+    # The swap ranks lanes with |w_1| >= |w_2| >= |w_3| >= |w_4|, |w_5|.
+    sort = (a[:, 0] < a[:, 1]) | (a[:, 1] < a[:, 2]) | (a[:, 2] < np.maximum(a[:, 3], a[:, 4]))
+    sort = np.flatnonzero(sort)
+    if sort.size:
+        out[sort] = np.take_along_axis(w[sort], _order_indices(w[sort]), axis=-1)
+    return out
 
 
 def spectrum(G_c: np.ndarray) -> GramSpectrum:

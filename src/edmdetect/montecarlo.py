@@ -2,18 +2,19 @@
 
 Repeats noisy trials at a fixed geometry, collects the statistic and the
 leading eigenvalues as columns of a TrialBatch, and compares the empirical
-distribution with the first-order prediction. Trials run in fixed blocks of
-1024; block b draws the noise of all its trials in one call from a Philox
-counter-based stream keyed on the master seed with counter b (Salmon et al.,
-"Parallel random numbers: as easy as 1, 2, 3", SC'11). Trial t's noise thus
-depends only on (master_seed, t), and a short run is a bit-exact prefix of
-a longer one. Each trial's spectrum comes from the rank-5 Rayleigh-Ritz
-kernel of edm.centered_gram_eigvals: O(m) work and a few Newton steps per
-trial instead of building and solving the (m+1)x(m+1) centered Gram matrix.
-run_trials builds the geometry's factors once (edm.Rank5Factors), runs
-every block through edm.rank5_eigvals in one reused, feature-major
-workspace, and fills its preallocated result columns in place; the values
-are bit for bit those of centered_gram_eigvals.
+distribution with the first-order prediction. Noise comes in blocks of
+1024 trials; block b draws the noise of all its trials in one call from a
+Philox counter-based stream keyed on the master seed with counter b (Salmon
+et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11). Trial t's
+noise thus depends only on (master_seed, t), and a short run is a bit-exact
+prefix of a longer one. Each trial's spectrum comes from the rank-5
+Rayleigh-Ritz kernel of edm.centered_gram_eigvals: O(m) work and a few
+Newton steps per trial instead of building and solving the (m+1)x(m+1)
+centered Gram matrix. run_trials builds the geometry's factors once
+(edm.Rank5Factors), runs four noise blocks at a time through
+edm.rank5_eigvals in one reused, feature-major workspace, and fills its
+preallocated result columns in place; the values are bit for bit those of
+centered_gram_eigvals.
 """
 
 from __future__ import annotations
@@ -30,9 +31,12 @@ from . import edm, geometry
 from .errors import SpectrumError
 from .perturbation import StatisticDistribution
 
-# Trials are processed in fixed-size blocks, so trial t's noise never depends
-# on the run length.
+# Noise is drawn in fixed-size blocks, so trial t's noise never depends on
+# the run length.
 _BLOCK = 1024
+# Trials per kernel pass: wider passes cost less per trial, but each lane
+# holds about 1 KB of workspace at m = 12.
+_LANES = 4 * _BLOCK
 
 # One-sample Kolmogorov-Smirnov critical values D = c(alpha) / (sqrt(n) +
 # 0.12 + 0.11/sqrt(n)) (Stephens' finite-n form of the asymptotic table).
@@ -45,6 +49,9 @@ _SQRT2 = math.sqrt(2.0)
 
 # math.erfc applied elementwise; returns an object array.
 _ERFC = np.frompyfunc(math.erfc, 1, 1)
+# _ks_statistic's block of sorted values, and its margin for erfc's last bits.
+_KS_STRIDE = 32
+_KS_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -86,11 +93,11 @@ class SimulationSummary:
             "n_trials": self.n_trials,
             "q_mean": self.q_mean,
             "q_std": self.q_std,
-            "lambda_mean": [float(x) for x in self.lambda_mean],
-            "lambda_var": [float(x) for x in self.lambda_var],
+            "lambda_mean": self.lambda_mean.tolist(),
+            "lambda_var": self.lambda_var.tolist(),
             "histogram": {
-                "edges": [float(x) for x in self.hist_edges],
-                "counts": [int(x) for x in self.hist_counts],
+                "edges": self.hist_edges.tolist(),
+                "counts": self.hist_counts.tolist(),
             },
             "ks": {
                 "statistic": self.ks_statistic,
@@ -100,7 +107,7 @@ class SimulationSummary:
             "false_alarm_rate": self.false_alarm_rate,
             "correlation": {
                 "labels": list(_CORRELATION_LABELS),
-                "matrix": [[float(x) for x in row] for row in self.correlation],
+                "matrix": self.correlation.tolist(),
             },
             "degenerate": self.degenerate,
             "predicted": self.predicted.to_json_dict(),
@@ -116,10 +123,14 @@ def block_noise(key: np.ndarray, block: int, k: int, m: int, sigma_v: float) -> 
     """Noise (k, m) of the first k trials of block ``block``, one row per trial.
 
     The block's stream starts at counter [0, 0, 0, block], so row i is the
-    noise of trial block * _BLOCK + i whatever k is.
+    noise of trial block * _BLOCK + i whatever k is. Each value is sigma_v
+    times a standard normal draw; rng.normal(0, sigma_v) adds 0.0 to the
+    same product, which changes no pseudorange's bits.
     """
     rng = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, block]))
-    return rng.normal(0.0, sigma_v, (k, m))
+    noise = rng.standard_normal((k, m))
+    noise *= sigma_v
+    return noise
 
 
 def run_trials(
@@ -134,10 +145,11 @@ def run_trials(
 
     When the one-sided upper ``threshold`` is given, the batch carries an
     exceedance flag per trial, q > threshold. The geometry's kernel factors
-    are built once; the result columns are then filled block by block in
-    place, through one set of kernel buffers. ``workers`` is ignored: every
-    block runs in this process. It stays only until the benchmark's
-    two-worker loop (perfbench/layers.py) is dropped.
+    are built once; the result columns are then filled _LANES trials at a
+    time in place, through one set of kernel buffers, and ranked by
+    edm.rank5_by_magnitude, which sorts only the lanes that need it.
+    ``workers`` is ignored: every lane runs in this process. It stays only
+    until the benchmark's two-worker loop (perfbench/layers.py) is dropped.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
@@ -147,43 +159,59 @@ def run_trials(
     key = noise_key(master_seed)
     factors = edm.Rank5Factors(g.satellites)
     q, lambdas = np.empty(n_trials), np.empty((n_trials, 5))
-    ws = edm.Rank5Workspace(g.m, min(_BLOCK, n_trials))
-    for block, start in enumerate(range(0, n_trials, _BLOCK)):
-        k = min(_BLOCK, n_trials - start)
+    ws = edm.Rank5Workspace(g.m, min(_LANES, n_trials))
+    for start in range(0, n_trials, _LANES):
+        k = min(_LANES, n_trials - start)
         rho = ws.rho[:, :k]
-        np.add(nominal, block_noise(key, block, k, g.m, nm.sigma_v).T, out=rho)
+        for b in range(0, k, _BLOCK):
+            noise = block_noise(key, (start + b) // _BLOCK, min(_BLOCK, k - b), g.m, nm.sigma_v)
+            np.add(nominal, noise.T, out=rho[:, b : b + _BLOCK])
         w = edm.rank5_eigvals(factors, rho, ws)
-        w = np.take_along_axis(w, edm._order_indices(w), axis=-1)
-        lam1 = w[:, 0]
+        lam = edm.rank5_by_magnitude(w, lambdas[start : start + k])
+        lam1 = lam[:, 0]
         bad = np.flatnonzero(lam1 == 0.0)
         if bad.size:
             raise SpectrumError(
                 f"trial {start + int(bad[0])}: leading eigenvalue is zero (degenerate geometry)"
             )
-        np.divide(w[:, 3] + w[:, 4], 2.0 * lam1, out=q[start : start + k])
-        lambdas[start : start + k] = w
+        np.divide(lam[:, 3] + lam[:, 4], 2.0 * lam1, out=q[start : start + k])
     exceeded = q > threshold if threshold is not None else None
     return TrialBatch(q=q, lambdas=lambdas, exceeded=exceeded)
 
 
-def _ks_statistic(sample: np.ndarray, mu: float, sigma: float) -> float:
-    """One-sample KS distance between the sample and N(mu, sigma^2).
+def _normal_cdf(x: np.ndarray, mu: float, sigma: float) -> np.ndarray:
+    """Phi((x - mu) / sigma) = erfc(-z / sqrt(2)) / 2, per value with math.erfc."""
+    return 0.5 * _ERFC(-((x - mu) / sigma) / _SQRT2).astype(float)
 
-    Phi(z) = erfc(-z / sqrt(2)) / 2 is evaluated per value with math.erfc.
-    The sorted copy is walked one _BLOCK at a time and only the two running
-    maxima carry over, so the object array of Python floats that math.erfc
-    fills is _BLOCK long, not n long; a maximum does not depend on the
-    order of its operands, and np.maximum propagates NaN as .max() does.
+
+def _ks_statistic(sample: np.ndarray, mu: float, sigma: float) -> float:
+    """One-sample KS distance between the sample and N(mu, sigma^2), sigma > 0.
+
+    The larger of the maxima of i/n - F_i and F_i - (i-1)/n over the sorted
+    values, F_i = _normal_cdf(x_i), with the bits of a walk over every value.
+    F is taken first at each _KS_STRIDE-value block's first value and at the
+    last value, where NaNs sort. F is monotone, so a block from i_lo to i_hi
+    holds terms of at most i_hi/n - F_lo and F_hi - (i_lo-1)/n, with F_lo and
+    F_hi the values at its first value and the next block's, widened by
+    _KS_SLACK (libm's erfc is monotone only to its last bits). Blocks whose
+    bounds exceed neither maximum cannot raise them; the rest are evaluated
+    in full, _BLOCK values at a time: the object arrays of Python floats
+    that math.erfc fills are n/_KS_STRIDE + 1 long, then _BLOCK long.
     """
     x = np.sort(sample)
     n = x.shape[0]
-    above = below = -np.inf
-    for start in range(0, n, _BLOCK):
-        xb = x[start : start + _BLOCK]
-        F = 0.5 * _ERFC(-((xb - mu) / sigma) / _SQRT2).astype(float)
-        i = np.arange(start + 1, start + 1 + xb.size)
-        above = np.maximum(above, (i / n - F).max())
-        below = np.maximum(below, (F - (i - 1) / n).max())
+    i = np.append(np.arange(0, n, _KS_STRIDE), n - 1)
+    F = _normal_cdf(x[i], mu, sigma)
+    above, below = ((i + 1) / n - F).max(), (F - i / n).max()
+    # Block j runs from value i[j] to i[j + 1], so its F from F[j] to F[j + 1].
+    live = (i[1:] + 1) / n - F[:-1] + _KS_SLACK > above
+    live |= F[1:] + _KS_SLACK - i[:-1] / n > below
+    rest = np.flatnonzero(np.repeat(live, _KS_STRIDE)[:n])
+    for start in range(0, rest.size, _BLOCK):
+        i = rest[start : start + _BLOCK]
+        F = _normal_cdf(x[i], mu, sigma)
+        above = np.maximum(above, ((i + 1) / n - F).max())
+        below = np.maximum(below, (F - i / n).max())
     return float(max(above, below))
 
 
@@ -225,18 +253,22 @@ def _eigen_moments(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     Two passes of _BLOCK rows over d = [lambda1..lambda5, lambda4 + lambda5]
     (each row's rounded sum) minus the first row: the mean of d, then the
     corrected two-pass sums of e = d - mean(d), sum(e e^T) - sum(e) sum(e)^T / n
-    (Chan, Golub & LeVeque, Am. Stat. 37, 1983). lambda1's trials agree to
-    about 3e-10 of its value, so its d are exact (Sterbenz). np.einsum calls
-    no BLAS routine. A constant column has zero variance and the identity's
-    row and column; the diagonal is exactly 1.
+    (Chan, Golub & LeVeque, Am. Stat. 37, 1983), in one reused buffer; the
+    chunk stays _BLOCK rows, as summary.json's bits depend on it. lambda1's
+    trials agree to about 3e-10 of its value, so its d are exact (Sterbenz).
+    np.einsum calls no BLAS routine. A constant column has zero variance and
+    the identity's row and column; the diagonal is exactly 1.
     """
     n = lams.shape[0]
     shift = np.append(lams[0], lams[0, 3] + lams[0, 4])
+    buf = np.empty((min(_BLOCK, n), 6))
 
     def deviations():
         for start in range(0, n, _BLOCK):
             chunk = lams[start : start + _BLOCK]
-            d = np.column_stack([chunk, chunk[:, 3] + chunk[:, 4]])
+            d = buf[: len(chunk)]
+            np.add(chunk[:, 3], chunk[:, 4], out=d[:, 5])
+            d[:, :5] = chunk
             d -= shift
             yield d
 
@@ -268,7 +300,8 @@ def summarize(
     q > ``threshold`` when supplied, else the batch's stored flags.
 
     Beyond the batch, summarize holds one n-long copy of q at a time (for
-    its moments, KS distance and bins) plus scratch of _BLOCK rows. The q
+    its moments, KS distance and bins), the KS walk's one byte per trial and
+    n/_KS_STRIDE block bounds, and scratch of _BLOCK rows. The q
     fields, histogram, KS values and rate are numpy's one-shot bits; the
     eigenvalue moments and correlation (_eigen_moments) are within a few
     ulps of exact sums, where numpy's one-shot lambda1 variance is off by

@@ -12,6 +12,8 @@ import mpmath
 import numpy as np
 import pytest
 from conftest import MASTER_SEED, dense_mp_eigenvalues
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edmdetect import (
     NoiseModel,
@@ -294,8 +296,8 @@ class TestRunTrials:
         nm = NoiseModel(sigma_v=3.0, bias_b=1.0e5)
         refs = []
         for seed in (13, 2**128 + 13):
-            ref = run_trials(small_scenario, nm, 3000, seed)
-            for n in (1023, 1024, 1025):
+            ref = run_trials(small_scenario, nm, 9000, seed)
+            for n in (1023, 1024, 1025, 4095, 4096, 4097):
                 assert np.array_equal(run_trials(small_scenario, nm, n, seed).q, ref.q[:n])
             refs.append(ref.q)
         assert not np.array_equal(refs[0], refs[1])
@@ -390,6 +392,38 @@ class TestSummarize:
             ref = max(max((i + 1) / mpmath.mpf(n) - f, f - mpmath.mpf(i) / n)
                       for i, f in enumerate(F))
             assert abs(_ks_statistic(qs, mu, sigma) - ref) <= 1e-15
+
+    @settings(max_examples=120, deadline=None, database=None, derandomize=True)
+    @given(
+        n=st.integers(2, 20_000),
+        seed=st.integers(0, 2**32 - 1),
+        quantum=st.sampled_from([0.0, 0.01, 0.5]),
+        run=st.floats(0.0, 0.9),
+        shift=st.floats(-8.0, 8.0),
+        scale=st.floats(0.2, 5.0),
+    )
+    @example(n=20_000, seed=1, quantum=0.0, run=0.0, shift=-8.0, scale=1.0)
+    @example(n=20_000, seed=1, quantum=0.0, run=0.0, shift=8.0, scale=1.0)
+    @example(n=20_000, seed=2, quantum=0.0, run=0.0, shift=-0.5, scale=1.0)
+    @example(n=20_000, seed=3, quantum=0.0, run=0.0, shift=0.5, scale=1.0)
+    @example(n=5_000, seed=4, quantum=0.01, run=0.2, shift=-0.1, scale=1.1)
+    @example(n=5_000, seed=5, quantum=0.01, run=0.2, shift=0.1, scale=0.9)
+    @example(n=2, seed=1, quantum=0.0, run=0.0, shift=0.0, scale=1.0)
+    def test_pruned_ks_walk_equals_the_full_walk(self, n, seed, quantum, run, shift, scale):
+        # The pruned walk skips blocks whose bounds cannot raise a maximum;
+        # its distance must be, bit for bit, that of ks_reference, which
+        # evaluates every value. Samples carry ties (values rounded to a
+        # quantum of sigma) and a constant run over a share of the sorted
+        # values; the model's mean is off by up to 8 sigma, which puts the
+        # maximum at the first or the last sorted value.
+        mu, sigma = 0.3, 0.07
+        x = np.sort(np.random.default_rng(seed).normal(mu, sigma, n))
+        if quantum:
+            x = np.round(x / (quantum * sigma)) * (quantum * sigma)
+        k = int(run * n)
+        x[n // 3 : n // 3 + k] = x[n // 3]
+        model = (mu + shift * sigma, sigma * scale)
+        assert _ks_statistic(x[::-1], *model) == ks_reference(x, *model)
 
     def test_histogram_partitions_sample(self):
         rng = np.random.default_rng(5)
@@ -817,7 +851,7 @@ def _ranked_public_kernel(g, nm, n, seed):
 
 
 @pytest.mark.parametrize("m", [5, 12, 30])
-@pytest.mark.parametrize("n", [1, 1023, 1025])
+@pytest.mark.parametrize("n", [1, 1023, 1025, 4095, 4097, 9000])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_run_trials_is_the_public_kernel_ranked(m, n, workers):
     # One kernel path: run_trials' columns are, bit for bit, the public
@@ -846,11 +880,41 @@ def test_run_trials_ranks_five_columns_where_the_order_moves(request, scenario, 
     # bit, the first five of all m + 1 values ranked.
     g = request.getfixturevalue(scenario)
     nm = NoiseModel(sigma_v=sigma, bias_b=bias)
-    batch = run_trials(g, nm, 1025, 9)
-    w, main = _ranked_public_kernel(g, nm, 1025, 9)
+    batch = run_trials(g, nm, 4097, 9)
+    w, main = _ranked_public_kernel(g, nm, 4097, 9)
     assert np.any(_order_indices(w[:, :5]) != np.arange(5))
     assert np.array_equal(batch.lambdas, main[:, :5])
     assert np.array_equal(batch.q, (main[:, 3] + main[:, 4]) / (2.0 * main[:, 0]))
+
+
+def test_run_trials_sorts_only_the_lanes_a_swap_cannot_rank(
+    scenario12, coplanar_scenario, noise_default, monkeypatch
+):
+    # A certified lane is ranked by at most a swap of lambda_4 and lambda_5,
+    # so only lanes with |lambda_5| > lambda_3 and the eigvalsh fallback's
+    # ascending lanes (every lane of the coplanar geometry) reach
+    # edm._order_indices: none of 20k default trials, none at b = 1 m, where
+    # lanes swap, and at b = 1e6 m, sigma = 3e5 m, the few past lambda_3.
+    near, far = NoiseModel(sigma_v=3.0, bias_b=1.0), NoiseModel(sigma_v=3.0e5, bias_b=1.0e6)
+    w_near, _ = _ranked_public_kernel(scenario12, near, 4097, 9)
+    w_far, _ = _ranked_public_kernel(scenario12, far, 4097, 9)
+    assert np.any(np.abs(w_near[:, 4]) > w_near[:, 3])
+    rows = []
+    order = edm._order_indices
+
+    def spy(w):
+        rows.append(w.shape[0])
+        return order(w)
+
+    monkeypatch.setattr(edm, "_order_indices", spy)
+    run_trials(scenario12, noise_default, 20_000, MASTER_SEED)
+    run_trials(scenario12, near, 4097, 9)
+    assert sum(rows) == 0
+    run_trials(coplanar_scenario, noise_default, 4097, 9)
+    assert sum(rows) == 4097
+    del rows[:]
+    run_trials(scenario12, far, 4097, 9)
+    assert 0 < sum(rows) == np.count_nonzero(np.abs(w_far[:, 4]) > w_far[:, 2]) < 4097
 
 
 def _traced_peak(fn) -> int:
