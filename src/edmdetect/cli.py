@@ -237,6 +237,15 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _write_json(cfg: RunConfig, name: str, doc: dict) -> Path:
+    """Write ``doc``, with the run's config added, to cfg.out_dir / name, keys sorted."""
+    doc["config"] = cfg.provenance()
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    out = cfg.out_dir / name
+    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return out
+
+
 def cmd_predict(cfg: RunConfig) -> int:
     """Write the predicted q distribution and thresholds; no simulation."""
     geom, nm = build_scenario(cfg)
@@ -244,10 +253,7 @@ def cmd_predict(cfg: RunConfig) -> int:
     thresholds = perturbation.detection_threshold(dist, cfg.p_fa)
     doc = dist.to_json_dict()
     doc["thresholds"] = thresholds._asdict()
-    doc["config"] = cfg.provenance()
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    out = cfg.out_dir / "prediction.json"
-    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    out = _write_json(cfg, "prediction.json", doc)
     print(
         f"prediction: mu_q={dist.mu_q:.6e} sigma_q={dist.sigma_q:.6e} "
         f"one-sided threshold={thresholds.one_sided_hi:.6e} (p_fa={cfg.p_fa}) -> {out}"
@@ -265,16 +271,8 @@ def cmd_audit(cfg: RunConfig) -> int:
         status = "PASS" if ok else "FAIL"
         print(f"{status}  {name}: {value:.6g} (tolerance {tol:g})")
         all_ok &= ok
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    doc = {
-        "checks": [
-            {"name": name, "value": value, "tolerance": tol, "passed": ok}
-            for name, value, tol, ok in rows
-        ],
-        "passed": all_ok,
-        "config": cfg.provenance(),
-    }
-    (cfg.out_dir / "audit.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    checks = [dict(zip(("name", "value", "tolerance", "passed"), row)) for row in rows]
+    _write_json(cfg, "audit.json", {"checks": checks, "passed": all_ok})
     return EXIT_OK if all_ok else EXIT_AUDIT
 
 
@@ -328,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     except GeometryError as exc:
         print(f"error (geometry): {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DegenerateEigenvalueError, SpectrumError, ZeroDivisionError, OverflowError) as exc:
+    except (DegenerateEigenvalueError, SpectrumError, ZeroDivisionError) as exc:
         print(f"error (numerical): {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except MemoryError as exc:

@@ -22,15 +22,16 @@ import numpy as np
 
 from .errors import GeometryError, SpectrumError
 
-# The largest float whose square is finite.
-SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
-# The largest position or pseudorange (m). The kernel squares w, z and h0,
-# of order n |r|^2; 2^-48 of the largest float's fourth root leaves 2^192
-# for n^2 and the constants.
+# The largest coordinate, orbit radius, range, pseudorange, sigma_v or |bias|
+# (m). The kernel squares w, z and h0, of order n |r|^2; 2^-48 of the largest
+# float's fourth root leaves 2^192 for n^2 and the constants.
 MAX_LENGTH_M = sys.float_info.max**0.25 / 2.0**48
-# The smallest scenario length scale L (m): down to it the numerics keep their
-# bits under rescaling; the dense eigh first moved at 2^-199 m (m = 5 to 60).
-MIN_LENGTH_M = 2.0**-192
+# The smallest scenario length scale L (m). The kernel's h0 holds
+# a_i^2 nu^2 / (4 sigma_i^2), of order |r|^4 / L^2: with pseudoranges at
+# MAX_LENGTH_M and at 2^-60 of it, it first overflowed at L = 2^-94 m on
+# generated constellations (m = 5 to 60) and at 2^-78 m on the flattest
+# checked-in ring; the bound is 2^16 above that.
+MIN_LENGTH_M = 2.0**-62
 
 _NEG_CLIP_REL = 1e-6
 
@@ -91,18 +92,18 @@ def edm_from_gram(G: np.ndarray) -> np.ndarray:
     return D
 
 
-def _check_pseudoranges(rho: np.ndarray, m: int) -> np.ndarray:
+def checked_ranges(rho: np.ndarray, m: int) -> np.ndarray:
     """``rho`` as floats, with shape (..., m) and every entry in (0, MAX_LENGTH_M]."""
     rho = np.asarray(rho, dtype=float)
     if rho.ndim == 0 or rho.shape[-1] != m:
-        raise ValueError(f"pseudorange vectors need {m} entries, one per satellite, "
+        raise ValueError(f"range vectors need {m} entries, one per satellite, "
                          f"got shape {rho.shape}")
     if rho.size and not 0 < rho.min():  # min propagates NaN, so NaN fails here
         raise GeometryError(
-            f"pseudoranges must all be positive and finite; the smallest is {rho.min():.4g} m")
+            f"ranges must all be positive and finite; the smallest is {rho.min():.4g} m")
     if rho.size and not rho.max() <= MAX_LENGTH_M:
         raise GeometryError(
-            "pseudoranges must all be positive and finite, with finite squares of their squares "
+            "ranges must all be positive and finite, with finite squares of their squares "
             f"(at most {MAX_LENGTH_M:.4g} m); the largest is {rho.max():.4g} m")
     return rho
 
@@ -118,7 +119,7 @@ def augment_edm(D: np.ndarray, rho: np.ndarray) -> np.ndarray:
     m = D.shape[0]
     if D.shape != (m, m):
         raise ValueError(f"inter-satellite matrix must be square, got {D.shape}")
-    rho = _check_pseudoranges(rho, m)
+    rho = checked_ranges(rho, m)
     rho2 = rho**2
     out = np.zeros(rho.shape[:-1] + (m + 1, m + 1))
     out[..., 1:, 1:] = D
@@ -268,7 +269,7 @@ def rank5_eigvals(f: Rank5Factors, rho: np.ndarray, ws: Rank5Workspace) -> np.nd
     secular solve cannot certify take np.linalg.eigvalsh of their own
     arrowhead. See centered_gram_eigvals for the algebra.
     """
-    rho = _check_pseudoranges(rho.T, f.m).T
+    rho = checked_ranges(rho.T, f.m).T
     k = rho.shape[1]
     w, prod, a, w0 = ws.w[:, :k], ws.prod[:, :k], ws.a[:, :k], ws.w0[:k]
     alpha, h0, z2 = ws.alpha[:k], ws.h0[:k], ws.z2[:, :k]
@@ -465,7 +466,7 @@ def centered_gram_eigvals(satellites: np.ndarray, rho: np.ndarray) -> np.ndarray
     same row alone.
     """
     f = Rank5Factors(satellites)
-    rho = _check_pseudoranges(rho, f.m)
+    rho = checked_ranges(rho, f.m)
     rows = rho.reshape(-1, f.m)
     out = np.zeros(rho.shape[:-1] + (f.m + 1,))
     out.reshape(-1, f.m + 1)[:, :5] = rank5_eigvals(f, rows.T, Rank5Workspace(f.m, len(rows)))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .edm import MAX_LENGTH_M, MIN_LENGTH_M, SQRT_FLOAT_MAX, checked_positions
+from .edm import MAX_LENGTH_M, MIN_LENGTH_M, checked_positions, checked_ranges
 from .errors import ConstellationSamplingError, GeometryError
 
 EARTH_RADIUS_M = 6_371_000.0
@@ -118,13 +118,11 @@ class NoiseModel:
     bias_b: float = DEFAULT_BIAS_M
 
     def __post_init__(self):
-        if not 0 < self.sigma_v <= SQRT_FLOAT_MAX:
-            raise ValueError(
-                f"sigma_v must be > 0 with a finite square (at most {SQRT_FLOAT_MAX:.4g} m), "
-                f"got {self.sigma_v}"
-            )
-        if not np.isfinite(self.bias_b):
-            raise ValueError(f"clock bias must be finite, got {self.bias_b}")
+        # A NaN fails both comparisons, so it is refused too.
+        if not 0 < self.sigma_v <= MAX_LENGTH_M:
+            raise ValueError(f"sigma_v must lie in (0, {MAX_LENGTH_M:.4g}] m, got {self.sigma_v}")
+        if not abs(self.bias_b) <= MAX_LENGTH_M:
+            raise ValueError(f"|bias_b| must be at most {MAX_LENGTH_M:.4g} m, got {self.bias_b}")
 
 
 @dataclass
@@ -224,14 +222,6 @@ def elevation_angles(g: ScenarioGeometry) -> np.ndarray:
     return np.degrees(np.arcsin(np.clip(sin_el, -1.0, 1.0)))
 
 
-def _checked_ranges(d: np.ndarray) -> np.ndarray:
-    """``d`` as floats; a NaN fails both comparisons, an infinity one of them."""
-    d = np.asarray(d, dtype=float)
-    if not np.all((0 < d) & (d < np.inf)):
-        raise GeometryError("true ranges must all be positive and finite")
-    return d
-
-
 def sample_pseudoranges(
     d: np.ndarray,
     nm: NoiseModel,
@@ -241,7 +231,7 @@ def sample_pseudoranges(
 
     ``v`` is i.i.d. N(0, sigma_v^2); the draw is deterministic per seed.
     """
-    d = _checked_ranges(d)
+    d = checked_ranges(d, len(d))
     rng = np.random.default_rng(seed)
     v = rng.normal(0.0, nm.sigma_v, size=d.shape[0])
     b = nm.bias_b
@@ -250,6 +240,6 @@ def sample_pseudoranges(
 
 def nominal_pseudoranges(d: np.ndarray, nm: NoiseModel) -> PseudorangeSample:
     """The exact noiseless sample rho = d + clock bias (v = 0)."""
-    d = _checked_ranges(d)
+    d = checked_ranges(d, len(d))
     b = nm.bias_b
     return PseudorangeSample(rho=d + b, d_true=d, b_effective=b, v=np.zeros_like(d))

@@ -456,7 +456,7 @@ def write_summary_json(
 ) -> None:
     doc = summary.to_json_dict()
     if provenance:
-        doc["config"] = {k: provenance[k] for k in sorted(provenance)}
+        doc["config"] = dict(provenance)
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 

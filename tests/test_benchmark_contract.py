@@ -1,7 +1,8 @@
 """What the benchmark under perfbench/ needs from the package.
 
 perfbench/probe.py stamps the end of set-up by looking up its
-WORK_ENTRY_POINTS by module and name, perfbench/layers.py still passes
+WORK_ENTRY_POINTS by module and name, perfbench/layers.py calls the
+package's modules by attribute, still passes
 run_trials(workers=2), times cli.resolve_config and cli.build_scenario on a
 parsed simulate command, and its sweep judges the simulate writers' files
 with perfbench/checks.py. A rename, a removal or a broken output in the package
@@ -36,6 +37,26 @@ def test_probe_entry_points_resolve_after_importing_the_cli():
     assert points
     for module, attr in points:
         assert callable(getattr(sys.modules[module], attr)), (module, attr)
+
+
+def test_every_package_name_the_benchmark_uses_resolves():
+    # Each edm.*, geometry.*, perturbation.*, montecarlo.* and cli.* attribute
+    # that perfbench/layers.py or perfbench/probe.py names must exist, so a
+    # deletion the benchmark still calls fails here first.
+    from edmdetect import cli, edm, geometry, montecarlo, perturbation
+
+    modules = {"cli": cli, "edm": edm, "geometry": geometry, "montecarlo": montecarlo,
+               "perturbation": perturbation}
+    named = {
+        (node.value.id, node.attr)
+        for path in (PERFBENCH / "layers.py", PROBE)
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+    assert ("edm", "augment_edm") in named and ("cli", "main") in named
+    missing = [f"{mod}.{attr}" for mod, attr in sorted(named) if not hasattr(modules[mod], attr)]
+    assert missing == []
 
 
 def test_montecarlo_serves_the_audit_it_no_longer_holds():

@@ -39,6 +39,7 @@ from edmdetect.cli import (
     main,
     read_mapping,
 )
+from edmdetect.edm import MAX_LENGTH_M
 from edmdetect.perturbation import GAP_TOL_REL_DEFAULT
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -430,8 +431,9 @@ class TestConfigHandling:
     @pytest.mark.parametrize("command", ["predict", "simulate"])
     @pytest.mark.parametrize("flag, value, code, kind, words", [
         ("--sigma", "1e160", EXIT_CONFIG, "config", "sigma_v"),
-        ("--bias", "1e200", EXIT_CONFIG, "geometry", "finite squares"),
-        ("--sigma", "1e150", EXIT_NUMERICAL, "numerical", "sigma_v"),
+        ("--bias", "1e200", EXIT_CONFIG, "config", "bias_b"),
+        ("--bias", "-1e63", EXIT_CONFIG, "config", "bias_b"),
+        ("--sigma", "1e150", EXIT_CONFIG, "config", "sigma_v"),
         *(
             pytest.param(
                 "--config", f"constellation: {{n_sats: 8, orbit_radius_m: {radius}}}",
@@ -445,24 +447,25 @@ class TestConfigHandling:
             EXIT_CONFIG, "geometry", "coordinates at most", id="points-at-1e200",
         ),
         pytest.param(
-            "--config", "{receiver: [1.0e-58, 0, 0], satellites: [[0, 1.0e-58, 0], "
-            "[0, 0, 1.0e-58], [-1.0e-58, 0, 0], [0, -1.0e-58, 0], [0, 0, -1.0e-58]]}",
-            EXIT_CONFIG, "geometry", "below the smallest supported 1.593e-58 m",
+            "--config", "{receiver: [1.5e-19, 0, 0], satellites: [[0, 1.5e-19, 0], "
+            "[0, 0, 1.5e-19], [-1.5e-19, 0, 0], [0, -1.5e-19, 0], [0, 0, -1.5e-19]]}",
+            EXIT_CONFIG, "geometry", "below the smallest supported 2.168e-19 m",
             id="points-below-min-length",
         ),
     ])
     def test_overflowing_noise_or_bias_is_one_line_typed_error(
         self, tmp_path, command, flag, value, code, kind, words
     ):
-        # sigma_v^2, rho^2 or a position's square overflows a float (exit 2),
-        # or sigma_v^2 is finite but the predicted moments are not (exit 3):
-        # a typed error, and no traceback or RuntimeWarning on stderr (a
-        # fresh interpreter shows both). Config values are written to a file.
+        # sigma_v, |bias_b|, the orbit radius or a coordinate above
+        # edm.MAX_LENGTH_M, or a length scale below edm.MIN_LENGTH_M: a typed
+        # error (exit 2), and no traceback or RuntimeWarning on stderr (a
+        # fresh interpreter shows both). Config values are written to a file;
+        # --flag=value lets a value start with a minus sign.
         if flag == "--config":
             (tmp_path / "cfg.yaml").write_text(value + "\n")
             value = str(tmp_path / "cfg.yaml")
         proc = subprocess.run(
-            [sys.executable, "-m", "edmdetect.cli", command, flag, value, "--trials", "10",
+            [sys.executable, "-m", "edmdetect.cli", command, f"{flag}={value}", "--trials", "10",
              "--out", str(tmp_path / "o")],
             env=fresh_env(), capture_output=True, text=True, timeout=120,
         )
@@ -473,8 +476,7 @@ class TestConfigHandling:
 
     # The errors main maps to exit 2 or 3 (ValueError is NoiseModel's, which
     # resolve_config reports as a config error).
-    TYPED = (GeometryError, DegenerateEigenvalueError, SpectrumError, ZeroDivisionError,
-             OverflowError)
+    TYPED = (GeometryError, DegenerateEigenvalueError, SpectrumError, ZeroDivisionError)
     SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -1.0, 5e-324, 1e-300, 1e63, 1e100, 1e155, 1e300]
 
     @settings(max_examples=200, deadline=None, database=None, derandomize=True)
@@ -487,7 +489,8 @@ class TestConfigHandling:
         flatten=st.one_of(st.none(), st.sampled_from([0.0, 1e-300, 1e-3, 1.0, 30.0, 1e3])),
         position=st.one_of(st.none(), st.sampled_from(SPECIAL)),
         pseudorange=st.one_of(st.none(), st.sampled_from(SPECIAL)),
-        sigma=st.one_of(st.just(3.0), st.sampled_from([300.0, 1e60, 1e150, *SPECIAL[:7]])),
+        sigma=st.one_of(st.just(3.0),
+                        st.sampled_from([300.0, 1e60, 1e150, MAX_LENGTH_M, *SPECIAL[:7]])),
         bias=st.one_of(st.just(1e5), st.sampled_from([1.0, -1e5, 1e100, 1.7e308, *SPECIAL[:7]])),
     )
     def test_bad_inputs_give_finite_values_or_typed_errors(

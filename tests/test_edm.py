@@ -1,8 +1,11 @@
 """Gram/EDM construction, double-centering, spectrum, and the test statistic."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from conftest import RINGS
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edmdetect import (
@@ -23,11 +26,13 @@ from edmdetect import (
     gram_from_positions,
     nominal_pseudoranges,
     predict_q_distribution,
+    run_trials,
     spectrum,
     test_statistic as q_statistic,
     true_ranges,
 )
-from edmdetect.edm import _order_indices
+from edmdetect.cli import read_mapping
+from edmdetect.edm import MAX_LENGTH_M, MIN_LENGTH_M, _order_indices
 
 RNG = np.random.default_rng(2024)
 
@@ -214,6 +219,46 @@ def test_kernel_matches_dense_eigensolve_and_stacks_rowwise(m, mask, seed, sigma
     assert np.all(np.abs(np.sort(w, axis=-1) - full) <= 1e-12 * scale)
     for row, r in zip(w, rho):
         assert np.array_equal(centered_gram_eigvals(g.satellites, r), row)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    m=st.integers(5, 60),
+    seed=st.integers(1, 3),
+    ring=st.one_of(st.none(), st.sampled_from(sorted(p.name for p in RINGS.glob("*.yaml")))),
+    k=st.integers(int(math.log2(MIN_LENGTH_M)), -40),
+    low=st.integers(0, 2**60 - 1),
+    spread=st.integers(3, 60),
+)
+@example(m=5, seed=1, ring="ring_e0.0001_m8_refused.yaml", k=int(math.log2(MIN_LENGTH_M)),
+         low=1, spread=3)
+@example(m=60, seed=1, ring=None, k=int(math.log2(MIN_LENGTH_M)), low=2**59, spread=3)
+def test_extreme_lengths_keep_the_kernel_finite(m, seed, ring, k, low, spread):
+    # The kernel's h0 grows as |rho|^4 / L^2. From L = MIN_LENGTH_M to 2^-40 m,
+    # on generated constellations and the checked-in rings, pseudoranges at
+    # MAX_LENGTH_M and at 2^-60 of it (bit j of ``low`` picks satellite j's),
+    # and trials with sigma_v and bias near it, give finite eigenvalues or a
+    # typed error. An overflow's RuntimeWarning fails the test (pyproject).
+    if ring is None:
+        g = generate_constellation(m, 10.0, seed=seed)
+    else:
+        doc = read_mapping(RINGS / ring)
+        g = ScenarioGeometry(doc["receiver"], doc["satellites"])
+    s = 2.0**k / g.length_scale
+    g = ScenarioGeometry(g.receiver * s, g.satellites * s)
+    small = np.array([low >> j & 1 for j in range(g.m)], dtype=bool)
+    rho = np.where(small, MAX_LENGTH_M * 2.0**-60, MAX_LENGTH_M)
+    nm = NoiseModel(sigma_v=MAX_LENGTH_M * 2.0**-spread, bias_b=MAX_LENGTH_M / 2)
+    calls = [
+        lambda: centered_gram_eigvals(g.satellites, np.stack([rho, rho[::-1]])),
+        lambda: run_trials(g, nm, 64, 1).lambdas,
+    ]
+    for call in calls:
+        try:
+            values = call()
+        except (GeometryError, SpectrumError):
+            continue
+        assert np.all(np.isfinite(values))
 
 
 def _rotation(quaternion):

@@ -25,7 +25,7 @@ from edmdetect import (
 )
 from edmdetect.audit import run_checks
 from edmdetect.cli import _build_parser, build_scenario, config_value, read_mapping, resolve_config
-from edmdetect.edm import MIN_LENGTH_M
+from edmdetect.edm import MAX_LENGTH_M, MIN_LENGTH_M
 from edmdetect.geometry import EARTH_RADIUS_M, _ranges
 
 
@@ -148,11 +148,13 @@ class TestLengthScale:
         assert generate_constellation(6, 10.0, radius, seed=2).length_scale == 2.0**24
 
     def test_tiny_coordinates_do_not_underflow(self):
-        # Squares of 1e-200 m coordinates underflow to zero; L must not.
+        # Squares of 1e-200 m coordinates underflow to zero; L must not. The
+        # admitted scale puts L in the lowest admitted binade.
         g = generate_constellation(6, 10.0, seed=2)
         radius = np.linalg.norm(g.satellites, axis=1).max()
-        L = 2.0 ** math.floor(math.log2(radius * 1e-50))
-        assert ScenarioGeometry(g.receiver * 1e-50, g.satellites * 1e-50).length_scale == L
+        L = 2.0 ** math.floor(math.log2(radius * 1e-26))
+        assert MIN_LENGTH_M <= L < 2.0 * MIN_LENGTH_M
+        assert ScenarioGeometry(g.receiver * 1e-26, g.satellites * 1e-26).length_scale == L
         L = 2.0 ** math.floor(math.log2(radius * 1e-200))
         with pytest.raises(GeometryError, match=re.escape(f"length scale {L:.4g} m, below")):
             ScenarioGeometry(g.receiver * 1e-200, g.satellites * 1e-200)
@@ -210,6 +212,22 @@ class TestNoiseModel:
             NoiseModel(sigma_v=0.0)
         with pytest.raises(ValueError):
             NoiseModel(sigma_v=-1.0)
+
+    def test_sigma_and_bias_may_reach_max_length(self):
+        for bias in (MAX_LENGTH_M, -MAX_LENGTH_M):
+            nm = NoiseModel(sigma_v=MAX_LENGTH_M, bias_b=bias)
+            assert (nm.sigma_v, nm.bias_b) == (MAX_LENGTH_M, bias)
+
+    @pytest.mark.parametrize("sigma, bias", [
+        (np.nextafter(MAX_LENGTH_M, np.inf), 1e5),
+        (np.nan, 1e5),
+        (3.0, np.nextafter(MAX_LENGTH_M, np.inf)),
+        (3.0, -np.nextafter(MAX_LENGTH_M, np.inf)),
+        (3.0, np.nan),
+    ])
+    def test_sigma_or_bias_above_max_length_or_nan_is_refused(self, sigma, bias):
+        with pytest.raises(ValueError, match="sigma_v" if sigma != 3.0 else "bias_b"):
+            NoiseModel(sigma_v=sigma, bias_b=bias)
 
 
 class TestSamplePseudoranges:

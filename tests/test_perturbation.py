@@ -7,6 +7,7 @@ erfc-bisection quantile and a 50-digit erfinv for thresholds.
 """
 
 import math
+from dataclasses import asdict
 
 import mpmath
 import numpy as np
@@ -15,7 +16,10 @@ from conftest import dense_mp_eigenvalues
 
 from edmdetect import (
     DegenerateEigenvalueError,
+    GeometryError,
     NoiseModel,
+    ScenarioGeometry,
+    SpectrumError,
     centered_gram,
     detection_threshold,
     eigenvalue_sensitivities,
@@ -28,7 +32,7 @@ from edmdetect import (
     spectrum,
     true_ranges,
 )
-from edmdetect.edm import GramSpectrum, centering_matrix
+from edmdetect.edm import MAX_LENGTH_M, MIN_LENGTH_M, GramSpectrum, centering_matrix
 from edmdetect.perturbation import StatisticDistribution
 
 RNG = np.random.default_rng(555)
@@ -377,6 +381,23 @@ class TestPredictQDistribution:
             * noise_default.sigma_v**2
         )
         assert dist.covariance_num_den == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [5, 12, 30])
+    @pytest.mark.parametrize("scale", [MIN_LENGTH_M, 2.0**24, 2.0**180])
+    def test_noise_at_max_length_gives_finite_moments_or_a_typed_error(self, m, scale):
+        # sigma_v = MAX_LENGTH_M, with the default bias scaled to L and with
+        # the largest bias: the moments are finite or the input is refused
+        # with a typed error, as nothing checks for overflow after the fact.
+        g = generate_constellation(m, 10.0, seed=m)
+        s = scale / g.length_scale
+        g = ScenarioGeometry(g.receiver * s, g.satellites * s)
+        for bias in (1.0e5 * s, MAX_LENGTH_M):
+            try:
+                dist = predict_q_distribution(g, NoiseModel(MAX_LENGTH_M, bias))
+            except (DegenerateEigenvalueError, GeometryError, SpectrumError, ZeroDivisionError):
+                continue
+            values = [v for v in asdict(dist).values() if isinstance(v, float)]
+            assert len(values) == 7 and np.all(np.isfinite(values))
 
 
 class TestDetectionThreshold:
