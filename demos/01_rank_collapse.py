@@ -32,9 +32,8 @@ print(f"scenario: m = {scenario.m} satellites, ranges "
 
 
 def show(label, rho):
-    s = spectrum(centered_gram(scenario.satellites, rho))
-    w = s.eigenvalues
-    q = test_statistic(s)
+    w, V = spectrum(centered_gram(scenario.satellites, rho))
+    q = test_statistic((w, V))
     head = ", ".join(f"{x: .3e}" for x in w[:6])
     n_nonzero = int(np.sum(np.abs(w) > GAP_TOL_REL_DEFAULT * np.abs(w).max()))
     print(f"\n{label}")

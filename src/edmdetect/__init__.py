@@ -3,7 +3,6 @@ distribution via first-order eigenvalue perturbation, and a seeded Monte
 Carlo validation harness."""
 
 from .edm import (
-    GramSpectrum,
     augment_edm,
     centered_gram,
     centered_gram_eigvals,
@@ -40,7 +39,6 @@ from .montecarlo import (
 )
 from .perturbation import (
     DetectionThresholds,
-    SensitivityTable,
     StatisticDistribution,
     detection_threshold,
     eigenvalue_sensitivities,
@@ -69,11 +67,9 @@ __all__ = [
     "DetectionThresholds",
     "FiniteDifferenceAudit",
     "GeometryError",
-    "GramSpectrum",
     "NoiseModel",
     "PseudorangeSample",
     "ScenarioGeometry",
-    "SensitivityTable",
     "SimulationSummary",
     "SpectrumError",
     "StatisticDistribution",

@@ -195,9 +195,9 @@ def finite_difference_audit(
     lo, hi = (x * g.length_scale for x in FD_STEP_RANGE)
     if not lo <= h <= hi:
         raise ValueError(f"step h must lie in [{lo:g}, {hi:g}] m, got {h}")
-    rho, table = perturbation._nominal_linearisation(g, nm)
+    rho, (s, _) = perturbation._nominal_linearisation(g, nm)
 
-    fd = np.empty(table.s.shape)
+    fd = np.empty(s.shape)
     eigenvalues = _rank5_oracle(g.satellites)
     with localcontext(_ORACLE_CONTEXT):
         hd = Decimal(float(h))
@@ -209,13 +209,13 @@ def finite_difference_audit(
             minus[j] -= hd
             w_plus = eigenvalues(plus)
             w_minus = eigenvalues(minus)
-            for a, pos in enumerate(table.positions):
+            for a, pos in enumerate(perturbation.TRACKED_DEFAULT):
                 fd[a, j] = float((w_plus[pos - 1] - w_minus[pos - 1]) / (2 * hd))
-    rel = relative_discrepancy(table.s, fd, FD_FLOOR * g.length_scale)
+    rel = relative_discrepancy(s, fd, FD_FLOOR * g.length_scale)
     return FiniteDifferenceAudit(
         h=h,
-        positions=table.positions,
-        sensitivities=table.s,
+        positions=perturbation.TRACKED_DEFAULT,
+        sensitivities=s,
         finite_differences=fd,
         relative_discrepancy=rel,
         max_relative_discrepancy=float(rel.max()),

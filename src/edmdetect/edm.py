@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,29 +33,6 @@ MAX_LENGTH_M = sys.float_info.max**0.25 / 2.0**48
 MIN_LENGTH_M = 2.0**-62
 
 _NEG_CLIP_REL = 1e-6
-
-
-@dataclass
-class GramSpectrum:
-    """Eigenvalues (meters^2) and matched unit eigenvectors of a Gram matrix.
-
-    Columns of ``eigenvectors`` pair with ``eigenvalues``, ranked by
-    magnitude. Each column's sign is whatever the eigensolver returned;
-    the sensitivities built from them are invariant under a sign flip.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.shape[0]
-
-    def eigenpair(self, position: int) -> tuple[float, np.ndarray]:
-        """Return (eigenvalue, eigenvector) at 1-based ``position``."""
-        if not 1 <= position <= self.n:
-            raise IndexError(f"position {position} outside 1..{self.n}")
-        return float(self.eigenvalues[position - 1]), self.eigenvectors[:, position - 1]
 
 
 def checked_positions(X: np.ndarray) -> np.ndarray:
@@ -298,13 +274,16 @@ def rank5_eigvals(f: Rank5Factors, rho: np.ndarray, ws: Rank5Workspace) -> np.nd
     _row_sum(prod, z2[3])
     z2[3] *= 0.25 * f.nu**2
     # h0 = w0 - sum_i (h0_lin_i a_i + h0_sq_i a_i^2), with alpha as scratch.
+    # h0_sq grows as 1/sigma_3^2, so a lane of a near-planar origin and
+    # satellites can overflow here; its non-finite h0 fails certification.
     np.copyto(h0, w0)
-    for i in range(3):
-        np.multiply(a[i], f.h0_lin[i], out=alpha)
-        h0 -= alpha
-        np.multiply(a[i], a[i], out=alpha)
-        alpha *= f.h0_sq[i]
-        h0 -= alpha
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(3):
+            np.multiply(a[i], f.h0_lin[i], out=alpha)
+            h0 -= alpha
+            np.multiply(a[i], a[i], out=alpha)
+            alpha *= f.h0_sq[i]
+            h0 -= alpha
     # z_i = sigma_i c_i + nu a_i / 2 and alpha = |c|^2 + w0.
     np.multiply(a, 0.5 * f.nu, out=z2[:3])
     z2[:3] += f.sigma_c[:, None]
@@ -504,21 +483,25 @@ def rank5_by_magnitude(w: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def spectrum(G_c: np.ndarray) -> GramSpectrum:
-    """Eigendecomposition of a symmetric matrix, ranked by magnitude (signs kept)."""
+def spectrum(G_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh's (w, V) of a symmetric matrix, ranked by magnitude (signs kept).
+
+    Column V[:, i] is the unit eigenvector of w[i] (meters^2), with the sign
+    the eigensolver gave it; the sensitivities built from it ignore that sign.
+    """
     G_c = np.asarray(G_c, dtype=float)
     if not np.all(np.isfinite(G_c)):
         raise SpectrumError("matrix contains non-finite entries")
     w, V = np.linalg.eigh(G_c)
     idx = _order_indices(w)
-    return GramSpectrum(eigenvalues=w[idx], eigenvectors=V[:, idx])
+    return w[idx], V[:, idx]
 
 
-def test_statistic(s: GramSpectrum) -> float:
-    """q = (lambda_4 + lambda_5) / (2 * lambda_1) of a magnitude-ranked spectrum."""
-    if s.n < 5:
-        raise SpectrumError(f"need at least 5 eigenvalues, got {s.n}")
-    lam1 = s.eigenvalues[0]
-    if lam1 == 0.0:
+def test_statistic(s: tuple[np.ndarray, np.ndarray]) -> float:
+    """q = (lambda_4 + lambda_5) / (2 * lambda_1) of spectrum's ranked (w, V)."""
+    w = s[0]
+    if w.shape[0] < 5:
+        raise SpectrumError(f"need at least 5 eigenvalues, got {w.shape[0]}")
+    if w[0] == 0.0:
         raise SpectrumError("leading eigenvalue is zero (degenerate geometry)")
-    return float((s.eigenvalues[3] + s.eigenvalues[4]) / (2.0 * lam1))
+    return float((w[3] + w[4]) / (2.0 * w[0]))

@@ -130,15 +130,13 @@ class PseudorangeSample:
     """Measured pseudoranges with their generating ingredients.
 
     ``v`` is the noise draw (None for field data). When present,
-    ``rho = d_true + b_effective + v`` holds to machine precision.
+    ``rho = d_true + bias_b + v`` holds to machine precision, with bias_b
+    the NoiseModel's clock bias.
     """
 
     rho: np.ndarray
     d_true: np.ndarray
-    b_effective: float
     v: np.ndarray | None = None
-    fault_index: int | None = None
-    fault_bias: float = 0.0
 
     def __post_init__(self):
         self.rho = np.asarray(self.rho, dtype=float)
@@ -234,12 +232,10 @@ def sample_pseudoranges(
     d = checked_ranges(d, len(d))
     rng = np.random.default_rng(seed)
     v = rng.normal(0.0, nm.sigma_v, size=d.shape[0])
-    b = nm.bias_b
-    return PseudorangeSample(rho=d + b + v, d_true=d, b_effective=b, v=v)
+    return PseudorangeSample(rho=d + nm.bias_b + v, d_true=d, v=v)
 
 
 def nominal_pseudoranges(d: np.ndarray, nm: NoiseModel) -> PseudorangeSample:
     """The exact noiseless sample rho = d + clock bias (v = 0)."""
     d = checked_ranges(d, len(d))
-    b = nm.bias_b
-    return PseudorangeSample(rho=d + b, d_true=d, b_effective=b, v=np.zeros_like(d))
+    return PseudorangeSample(rho=d + nm.bias_b, d_true=d, v=np.zeros_like(d))

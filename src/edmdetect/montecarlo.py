@@ -350,19 +350,14 @@ def summarize(
 def inject_fault(
     sample: geometry.PseudorangeSample, sat_index: int, fault_bias: float
 ) -> geometry.PseudorangeSample:
-    """Return a copy of the sample with ``fault_bias`` added to one channel.
-
-    ``sat_index`` is 0-based. The copy is tagged with the fault so
-    consistency checks know channel ``sat_index`` no longer satisfies the
-    nominal measurement model.
-    """
+    """Return a copy of the sample with ``fault_bias`` added to channel ``sat_index`` (0-based)."""
     if not 0 <= sat_index < sample.m:
         raise IndexError(f"sat_index {sat_index} outside 0..{sample.m - 1}")
     if not math.isfinite(fault_bias):
         raise ValueError(f"fault_bias must be finite, got {fault_bias}")
     rho = sample.rho.copy()
     rho[sat_index] += fault_bias
-    return replace(sample, rho=rho, fault_index=sat_index, fault_bias=fault_bias)
+    return replace(sample, rho=rho)
 
 
 def __getattr__(name: str):

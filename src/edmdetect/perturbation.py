@@ -43,25 +43,6 @@ GAP_TOL_REL_DEFAULT = 1e-12
 RATIO_CV_GUARD = 0.1
 
 
-@dataclass
-class SensitivityTable:
-    """Rows of eigenvalue sensitivities s[i, j] = z_i^T dG_j z_i / z_i^T z_i.
-
-    ``positions`` are the 1-based eigenvalue positions tracked (row order);
-    ``nominal`` holds the corresponding unperturbed eigenvalues.
-    """
-
-    positions: tuple[int, ...]
-    s: np.ndarray  # (len(positions), m)
-    nominal: np.ndarray  # (len(positions),)
-
-    def row(self, position: int) -> np.ndarray:
-        try:
-            return self.s[self.positions.index(position)]
-        except ValueError:
-            raise KeyError(f"position {position} not tracked {self.positions}") from None
-
-
 class RatioGaussian(NamedTuple):
     mu: float
     sigma: float
@@ -107,23 +88,27 @@ def gram_sensitivities(rho: np.ndarray) -> np.ndarray:
     return np.asarray(rho, dtype=float)
 
 
-def eigenvalue_sensitivities(spec: edm.GramSpectrum, rho: np.ndarray) -> SensitivityTable:
+def eigenvalue_sensitivities(
+    spec: tuple[np.ndarray, np.ndarray], rho: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """First-order response of the TRACKED_DEFAULT eigenvalues to each noise channel.
 
-    ``rho`` (m,) holds the pseudoranges of gram_sensitivities. Rows use the
-    closed form of the module docstring. Every tracked eigenvalue must be
+    ``spec`` is edm.spectrum's ranked (w, V) and ``rho`` (m,) the pseudoranges
+    of gram_sensitivities. Returns (s, nominal): row a of s (3, m), in the
+    closed form of the module docstring, and nominal[a] belong to position
+    TRACKED_DEFAULT[a]. Every tracked eigenvalue must be
     simple: its gap to the rest of the spectrum has to exceed
     GAP_TOL_REL_DEFAULT times the largest eigenvalue magnitude, otherwise
     its eigenvector (and the linearization) is not well defined and a
     DegenerateEigenvalueError is raised.
     """
-    w = spec.eigenvalues
+    w, V = spec
     tol = GAP_TOL_REL_DEFAULT * float(np.abs(w).max())
     rho = np.asarray(rho, dtype=float)
     rows = np.empty((len(TRACKED_DEFAULT), rho.shape[0]))
     nominal = np.empty(len(TRACKED_DEFAULT))
     for a, pos in enumerate(TRACKED_DEFAULT):
-        lam, z = spec.eigenpair(pos)
+        lam, z = float(w[pos - 1]), V[:, pos - 1]
         others = np.delete(w, pos - 1)
         gap = float(np.abs(others - lam).min()) if others.size else np.inf
         if gap <= tol:
@@ -136,7 +121,7 @@ def eigenvalue_sensitivities(spec: edm.GramSpectrum, rho: np.ndarray) -> Sensiti
         zc = z - z.mean()
         rows[a] = -2.0 * rho * zc[0] * zc[1:] / float(z @ z)
         nominal[a] = lam
-    return SensitivityTable(positions=TRACKED_DEFAULT, s=rows, nominal=nominal)
+    return rows, nominal
 
 
 def eigenvalue_variance(row: np.ndarray, sigma_v: float) -> float:
@@ -174,8 +159,8 @@ def ratio_gaussian(
 
 def _nominal_linearisation(
     g: geometry.ScenarioGeometry, nm: geometry.NoiseModel
-) -> tuple[np.ndarray, SensitivityTable]:
-    """Nominal pseudoranges and their TRACKED_DEFAULT sensitivity table.
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Nominal pseudoranges and their eigenvalue_sensitivities (s, nominal).
 
     Noiseless biased pseudoranges -> dense magnitude-ranked centered-Gram
     spectrum -> closed-form sensitivities. A zero clock bias is refused up
@@ -204,9 +189,9 @@ def predict_q_distribution(
     Numerator and denominator are treated as independent; their first-order
     covariance is reported as a diagnostic so the assumption can be checked.
     """
-    _, table = _nominal_linearisation(g, nm)
-    lam1, lam4, lam5 = table.nominal
-    s1, s4, s5 = table.s
+    _, (s, nominal) = _nominal_linearisation(g, nm)
+    lam1, lam4, lam5 = nominal
+    s1, s4, s5 = s
     mu_num = float(lam4 + lam5)
     sigma_num = np.sqrt(eigenvalue_variance(s4 + s5, nm.sigma_v))
     sigma_den = 2.0 * np.sqrt(eigenvalue_variance(s1, nm.sigma_v))

@@ -59,6 +59,26 @@ def test_every_package_name_the_benchmark_uses_resolves():
     assert missing == []
 
 
+def test_layer_calls_return_what_the_benchmark_consumes():
+    # The name check above cannot see a return type. perfbench/layers.py
+    # feeds edm.spectrum's result to edm.test_statistic and to
+    # eigenvalue_sensitivities, and takes .rho of nominal_pseudoranges.
+    from edmdetect import edm, geometry, perturbation
+
+    g = generate_constellation(12, 10.0, seed=1)
+    nm = NoiseModel(sigma_v=3.0, bias_b=1.0e5)
+    d = geometry.true_ranges(g)
+    rho_nom = geometry.nominal_pseudoranges(d, nm).rho
+    D = edm.edm_from_gram(edm.gram_from_positions(g.satellites.T))
+    nominal = edm.spectrum(edm.gram_centered(edm.augment_edm(D, rho_nom)))
+    q = edm.test_statistic(nominal)
+    s, lam = perturbation.eigenvalue_sensitivities(
+        nominal, perturbation.gram_sensitivities(rho_nom))
+    assert np.isfinite(q)
+    assert s.shape == (3, g.m) and np.all(np.isfinite(s))
+    assert np.array_equal(lam, nominal[0][[0, 3, 4]])
+
+
 def test_montecarlo_serves_the_audit_it_no_longer_holds():
     from edmdetect import audit, montecarlo
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from edmdetect import (
     DegenerateEigenvalueError,
     GeometryError,
-    GramSpectrum,
     NoiseModel,
     ScenarioGeometry,
     SpectrumError,
@@ -133,7 +132,7 @@ class TestGramCentered:
     def test_consistent_case_has_three_nonzero_eigenvalues(self, scenario12):
         # Noiseless, zero-bias: the centered Gram collapses to rank 3.
         d = true_ranges(scenario12)
-        w = spectrum(centered_gram(scenario12.satellites, d)).eigenvalues
+        w, _ = spectrum(centered_gram(scenario12.satellites, d))
         n_nonzero = int(np.sum(np.abs(w) > 1e-9 * np.abs(w).max()))
         assert n_nonzero == 3
 
@@ -323,12 +322,12 @@ def test_q_and_prediction_are_invariant_under_rigid_motion(
 
 class TestSpectrum:
     def test_identity_matrix(self):
-        s = spectrum(np.eye(6))
-        np.testing.assert_array_equal(s.eigenvalues, np.ones(6))
+        w, _ = spectrum(np.eye(6))
+        np.testing.assert_array_equal(w, np.ones(6))
 
     def test_ordering_definitions(self):
         M = np.diag([5.0, -2.0, 1.0])
-        np.testing.assert_array_equal(spectrum(M).eigenvalues, [5.0, -2.0, 1.0])
+        np.testing.assert_array_equal(spectrum(M)[0], [5.0, -2.0, 1.0])
 
     def test_nonfinite_input(self):
         M = np.eye(4)
@@ -339,21 +338,19 @@ class TestSpectrum:
     def test_spectral_reconstruction(self, scenario12, noise_default):
         d = true_ranges(scenario12)
         G_c = centered_gram(scenario12.satellites, d + noise_default.bias_b)
-        s = spectrum(G_c)
-        recon = (s.eigenvectors * s.eigenvalues[None, :]) @ s.eigenvectors.T
+        w, V = spectrum(G_c)
+        recon = (V * w[None, :]) @ V.T
         assert np.abs(recon - G_c).max() <= 1e-6 * np.abs(G_c).max()
 
     def test_eigenpair_invariants(self, scenario12, noise_default):
         d = true_ranges(scenario12)
         G_c = centered_gram(scenario12.satellites, d + noise_default.bias_b)
-        s = spectrum(G_c)
-        V = s.eigenvectors
-        np.testing.assert_allclose(V.T @ V, np.eye(s.n), atol=1e-9)
+        w, V = spectrum(G_c)
+        np.testing.assert_allclose(V.T @ V, np.eye(w.size), atol=1e-9)
         # Residuals of a backward-stable solver scale with the spectral norm,
         # so that is the right yardstick even for the near-zero eigenvalues.
-        scale = max(1.0, float(np.abs(s.eigenvalues).max()))
-        for i in range(s.n):
-            lam, z = s.eigenpair(i + 1)
+        scale = max(1.0, float(np.abs(w).max()))
+        for lam, z in zip(w, V.T):
             assert np.linalg.norm(G_c @ z - lam * z) <= 1e-6 * scale
 
     @pytest.mark.parametrize("m, mask", [(5, 10.0), (12, 10.0), (30, 5.0)])
@@ -362,28 +359,17 @@ class TestSpectrum:
         # eigenvector column leaves every sensitivity row bit for bit as it was.
         g = generate_constellation(m, mask, seed=1)
         rho = nominal_pseudoranges(true_ranges(g), noise_default).rho
-        s = spectrum(centered_gram(g.satellites, rho))
-        base = eigenvalue_sensitivities(s, rho).s
+        w, V0 = spectrum(centered_gram(g.satellites, rho))
+        base, _ = eigenvalue_sensitivities((w, V0), rho)
         for col in range(m + 1):
-            V = s.eigenvectors.copy(order="K")  # same strides, so same BLAS sums
+            V = V0.copy(order="K")  # same strides, so same BLAS sums
             V[:, col] = -V[:, col]
-            flipped = GramSpectrum(eigenvalues=s.eigenvalues, eigenvectors=V)
-            assert np.array_equal(eigenvalue_sensitivities(flipped, rho).s, base), col
-
-    def test_eigenpair_bounds(self):
-        s = spectrum(np.eye(3))
-        with pytest.raises(IndexError):
-            s.eigenpair(0)
-        with pytest.raises(IndexError):
-            s.eigenpair(4)
+            assert np.array_equal(eigenvalue_sensitivities((w, V), rho)[0], base), col
 
 
 class TestTestStatistic:
     def test_arithmetic_on_definition(self):
-        s = GramSpectrum(
-            eigenvalues=np.array([10.0, 8.0, 6.0, 1.0, 1.0, 0.0]),
-            eigenvectors=np.eye(6),
-        )
+        s = (np.array([10.0, 8.0, 6.0, 1.0, 1.0, 0.0]), np.eye(6))
         assert q_statistic(s) == pytest.approx(0.1, rel=1e-15)
 
     def test_consistent_case_gives_zero(self, scenario12):
@@ -405,12 +391,12 @@ class TestTestStatistic:
     def test_permutation_invariance(self, scenario12, noise_default):
         d = true_ranges(scenario12)
         rho = d + noise_default.bias_b
-        base = np.sort(spectrum(centered_gram(scenario12.satellites, rho)).eigenvalues)
+        base = np.sort(spectrum(centered_gram(scenario12.satellites, rho))[0])
         perm = RNG.permutation(scenario12.m)
         permuted = type(scenario12)(
             receiver=scenario12.receiver, satellites=scenario12.satellites[perm]
         )
-        other = np.sort(spectrum(centered_gram(permuted.satellites, rho[perm])).eigenvalues)
+        other = np.sort(spectrum(centered_gram(permuted.satellites, rho[perm]))[0])
         np.testing.assert_allclose(other, base, rtol=1e-9, atol=1e-9 * np.abs(base).max())
 
     def test_requires_five_eigenvalues(self):
@@ -430,6 +416,6 @@ def test_bias_activation_adds_two_eigenvalues(scenario12):
     d = true_ranges(scenario12)
     nm = NoiseModel(sigma_v=1.0, bias_b=1.0e5)
     rho = nominal_pseudoranges(d, nm).rho
-    w = spectrum(centered_gram(scenario12.satellites, rho)).eigenvalues
+    w, _ = spectrum(centered_gram(scenario12.satellites, rho))
     n_nonzero = int(np.sum(np.abs(w) > 1e-9 * np.abs(w).max()))
     assert n_nonzero == 5

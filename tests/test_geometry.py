@@ -249,7 +249,7 @@ class TestSamplePseudoranges:
         d = true_ranges(scenario12)
         nm = NoiseModel(sigma_v=3.0, bias_b=1.2e5)
         s = sample_pseudoranges(d, nm, seed=9)
-        np.testing.assert_allclose(s.rho - s.v - s.b_effective, d, rtol=1e-12)
+        np.testing.assert_allclose(s.rho - s.v - nm.bias_b, d, rtol=1e-12)
 
     def test_empirical_std_of_generator(self, scenario12):
         # 10,000 draws at sigma_v = 3 m: per-channel std must sit in [2.9, 3.1].

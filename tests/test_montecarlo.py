@@ -535,7 +535,7 @@ class TestInjectFault:
         sample = sample_pseudoranges(d, NoiseModel(3.0, 1e5), seed=2)
         faulted = inject_fault(sample, 2, 0.0)
         assert np.array_equal(faulted.rho, sample.rho)
-        assert faulted.fault_index == 2
+        assert faulted.rho is not sample.rho
 
     def test_index_out_of_range(self, small_scenario):
         d = true_ranges(small_scenario)
@@ -562,8 +562,7 @@ class TestInjectFault:
             satellites=small_scenario.satellites[perm],
         )
         permuted_sample = type(sample)(
-            rho=sample.rho[perm], d_true=sample.d_true[perm],
-            b_effective=sample.b_effective, v=sample.v[perm],
+            rho=sample.rho[perm], d_true=sample.d_true[perm], v=sample.v[perm],
         )
         new_index = int(np.where(perm == 1)[0][0])
         q_permuted = q_of_sample(
@@ -833,7 +832,7 @@ def test_trial_block_matches_plain_pipeline(small_scenario):
     b = nm.bias_b
     for t in range(5):
         v = block_noise(key, 0, t + 1, small_scenario.m, nm.sigma_v)[t]
-        sample = PseudorangeSample(rho=d + b + v, d_true=d, b_effective=b, v=v)
+        sample = PseudorangeSample(rho=d + b + v, d_true=d, v=v)
         assert q[t] == pytest.approx(q_of_sample(small_scenario, sample), rel=1e-12)
 
 
@@ -1048,6 +1047,22 @@ def test_fallback_lanes_match_dense_and_stack_rowwise(
         assert np.all(np.abs(np.sort(w, axis=-1) - full) <= 1e-12 * scale)
         for row, r in zip(w, rho):
             assert np.array_equal(centered_gram_eigvals(g.satellites, r), row)
+
+
+def test_near_planar_origin_and_satellites_fall_back_without_overflow(monkeypatch):
+    # h0_sq = nu^2 / (4 sigma_3^2) has no floor: satellites within 1e-35 m of
+    # a plane through the origin (the receiver, 6.4e6 m off that plane, keeps
+    # the scenario non-coplanar) overflow h0 at the largest admitted lengths.
+    # Every such lane must fail certification and take the eigvalsh fallback,
+    # with finite values and no RuntimeWarning (an error under pyproject).
+    theta = 0.1 + 2.0 * np.pi * np.arange(8) / 8
+    sats = np.column_stack([2.6e7 * np.cos(theta), 2.6e7 * np.sin(theta),
+                            1e-35 * (1.0 + 0.5 * np.sin(3.0 * theta))])
+    g = ScenarioGeometry(receiver=np.array([0.0, 0.0, 6.371e6]), satellites=sats)
+    lanes = _count_fallback_lanes(monkeypatch)
+    batch = run_trials(g, NoiseModel(edm.MAX_LENGTH_M / 8, edm.MAX_LENGTH_M / 2), 64, 1)
+    assert sum(lanes) == 64
+    assert np.all(np.isfinite(batch.q)) and np.all(np.isfinite(batch.lambdas))
 
 
 @pytest.mark.parametrize("scenario", ["small_scenario", "scenario12", "scenario30",

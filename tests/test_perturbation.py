@@ -32,8 +32,8 @@ from edmdetect import (
     spectrum,
     true_ranges,
 )
-from edmdetect.edm import MAX_LENGTH_M, MIN_LENGTH_M, GramSpectrum, centering_matrix
-from edmdetect.perturbation import StatisticDistribution
+from edmdetect.edm import MAX_LENGTH_M, MIN_LENGTH_M, centering_matrix
+from edmdetect.perturbation import TRACKED_DEFAULT, StatisticDistribution
 
 RNG = np.random.default_rng(555)
 
@@ -170,18 +170,14 @@ class TestGramSensitivities:
 # ---------------------------------------------------------------------------
 
 def diag_spectrum(values):
-    n = len(values)
-    return GramSpectrum(
-        eigenvalues=np.array(values, dtype=float),
-        eigenvectors=np.eye(n),
-    )
+    return np.array(values, dtype=float), np.eye(len(values))
 
 
 class TestEigenvalueSensitivities:
     def test_zero_perturbation_gives_zero_rows(self, scenario12, noise_default):
         _, spec = nominal_pipeline(scenario12, noise_default)
-        table = eigenvalue_sensitivities(spec, gram_sensitivities(np.zeros(scenario12.m)))
-        assert np.all(table.s == 0.0)
+        s, _ = eigenvalue_sensitivities(spec, gram_sensitivities(np.zeros(scenario12.m)))
+        assert np.all(s == 0.0)
 
     @pytest.mark.parametrize("m, mask", [(5, 10.0), (12, 10.0), (30, 5.0), (60, 5.0)])
     def test_closed_form_matches_tensor_contraction(self, m, mask, noise_default):
@@ -190,12 +186,12 @@ class TestEigenvalueSensitivities:
         # every tracked row and every satellite.
         g = generate_constellation(m, mask, seed=1)
         rho, spec = nominal_pipeline(g, noise_default)
-        table = eigenvalue_sensitivities(spec, gram_sensitivities(rho))
+        s, _ = eigenvalue_sensitivities(spec, gram_sensitivities(rho))
         stack = derivative_stack(rho)
-        for a, pos in enumerate(table.positions):
-            _, z = spec.eigenpair(pos)
+        for a, pos in enumerate(TRACKED_DEFAULT):
+            z = spec[1][:, pos - 1]
             ref = np.array([z @ stack[j] @ z / (z @ z) for j in range(m)])
-            err = np.abs(table.s[a] - ref) / np.maximum(np.abs(ref), 1.0)
+            err = np.abs(s[a] - ref) / np.maximum(np.abs(ref), 1.0)
             assert err.max() <= 1e-12, (pos, err.max())
 
     def test_degenerate_eigenvalue_refused(self):
@@ -208,11 +204,11 @@ class TestEigenvalueSensitivities:
         # h = 1e-3 m central differences through the full pipeline must agree
         # to 1e-4 relative (floor 1 m^2/m) on every tracked entry.
         rho, spec = nominal_pipeline(scenario12, noise_default)
-        table = eigenvalue_sensitivities(spec, gram_sensitivities(rho))
+        s, _ = eigenvalue_sensitivities(spec, gram_sensitivities(rho))
         for j in range(scenario12.m):
             fds = eig_fd_oracle(scenario12.satellites, rho, j, 1e-3, (1, 4, 5))
             for a in range(3):
-                err = abs(table.s[a, j] - fds[a]) / max(abs(table.s[a, j]), 1.0)
+                err = abs(s[a, j] - fds[a]) / max(abs(s[a, j]), 1.0)
                 assert err <= 1e-4
 
     def test_unit_denominator_computed(self, scenario12, noise_default):
@@ -220,12 +216,9 @@ class TestEigenvalueSensitivities:
         # quotient carries z^T z explicitly.
         rho, spec = nominal_pipeline(scenario12, noise_default)
         gs = gram_sensitivities(rho)
-        scaled = GramSpectrum(
-            eigenvalues=spec.eigenvalues,
-            eigenvectors=spec.eigenvectors * 3.0,
-        )
-        a = eigenvalue_sensitivities(spec, gs).s
-        b = eigenvalue_sensitivities(scaled, gs).s
+        w, V = spec
+        a, _ = eigenvalue_sensitivities(spec, gs)
+        b, _ = eigenvalue_sensitivities((w, V * 3.0), gs)
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
 
@@ -247,9 +240,9 @@ class TestEigenvalueVariance:
 
     def test_matches_monte_carlo_variance(self, scenario12, noise_default, lambda_matrix_100k):
         rho, spec = nominal_pipeline(scenario12, noise_default)
-        table = eigenvalue_sensitivities(spec, gram_sensitivities(rho))
-        for pos, col in ((1, 0), (4, 3), (5, 4)):
-            analytic = eigenvalue_variance(table.row(pos), noise_default.sigma_v)
+        s, _ = eigenvalue_sensitivities(spec, gram_sensitivities(rho))
+        for row, col in zip(s, (0, 3, 4)):
+            analytic = eigenvalue_variance(row, noise_default.sigma_v)
             empirical = lambda_matrix_100k[:, col].var(ddof=1)
             assert analytic == pytest.approx(empirical, rel=0.05)
 
@@ -267,13 +260,13 @@ class TestPredictedNumerator:
         # ... and the prediction's sigma_num is that form's, bit for bit, not
         # the sum of the two variances that independent eigenvalues would give.
         rho, spec = nominal_pipeline(scenario12, noise_default)
-        table = eigenvalue_sensitivities(spec, gram_sensitivities(rho))
+        (_, s4, s5), nominal = eigenvalue_sensitivities(spec, gram_sensitivities(rho))
         sigma = noise_default.sigma_v
         dist = predict_q_distribution(scenario12, noise_default)
-        assert dist.mu_num == float(table.nominal[1] + table.nominal[2])
-        assert dist.sigma_num == np.sqrt(eigenvalue_variance(table.row(4) + table.row(5), sigma))
+        assert dist.mu_num == float(nominal[1] + nominal[2])
+        assert dist.sigma_num == np.sqrt(eigenvalue_variance(s4 + s5, sigma))
         independent = np.sqrt(
-            eigenvalue_variance(table.row(4), sigma) + eigenvalue_variance(table.row(5), sigma)
+            eigenvalue_variance(s4, sigma) + eigenvalue_variance(s5, sigma)
         )
         assert dist.sigma_num != pytest.approx(independent, rel=1e-6)
 
@@ -322,7 +315,7 @@ class TestPredictQDistribution:
         nm = NoiseModel(sigma_v=1e-12, bias_b=1.0e5)
         dist = predict_q_distribution(scenario12, nm)
         _, spec = nominal_pipeline(scenario12, nm)
-        w = spec.eigenvalues
+        w, _ = spec
         assert dist.mu_q == pytest.approx((w[3] + w[4]) / (2 * w[0]), rel=1e-12)
         assert dist.sigma_q <= 1e-15
 
@@ -368,16 +361,16 @@ class TestPredictQDistribution:
         _, spec = nominal_pipeline(scenario12, noise_default)
         lams = lambda_matrix_100k[:2000]
         for pos, col in ((1, 0), (4, 3), (5, 4)):
-            nominal = spec.eigenvalues[pos - 1]
+            nominal = spec[0][pos - 1]
             se = lams[:, col].std(ddof=1) / np.sqrt(lams.shape[0])
             assert abs(lams[:, col].mean() - nominal) <= 3.0 * se
 
     def test_covariance_diagnostic_formula(self, scenario12, noise_default):
         rho, spec = nominal_pipeline(scenario12, noise_default)
-        table = eigenvalue_sensitivities(spec, gram_sensitivities(rho))
+        (s1, s4, s5), _ = eigenvalue_sensitivities(spec, gram_sensitivities(rho))
         dist = predict_q_distribution(scenario12, noise_default)
         expected = float(
-            np.sum((table.row(4) + table.row(5)) * 2.0 * table.row(1))
+            np.sum((s4 + s5) * 2.0 * s1)
             * noise_default.sigma_v**2
         )
         assert dist.covariance_num_den == pytest.approx(expected, rel=1e-12)
