@@ -8,10 +8,12 @@ safe and results are reproducible bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._normal import Normals
 from .edm import MAX_LENGTH_M, MIN_LENGTH_M, checked_positions, checked_ranges
 from .errors import ConstellationSamplingError, GeometryError
 
@@ -159,15 +161,28 @@ def generate_constellation(
 
     The receiver is placed uniformly on a spherical Earth; satellites are
     drawn uniformly on the orbit sphere and kept only if their elevation as
-    seen from the receiver is at least ``elevation_mask_deg``. Deterministic
-    for a fixed seed.
+    seen from the receiver is at least ``elevation_mask_deg``. The normals
+    behind both are those of ``np.random.default_rng(seed).normal``, three
+    for the receiver and then 256 x 3 per batch of candidates, drawn by a
+    stdlib copy of that stream (``_normal.Normals``): the result is the
+    same bit for bit whichever numpy is installed, and drawing it does not
+    load ``numpy.random``. ``seed`` is a non-negative integer, or None for
+    fresh entropy.
 
     Raises
     ------
+    GeometryError
+        If ``n_sats`` is not an integer of at least 5, the mask is outside
+        [0, 90) degrees, or the orbit radius is not above the Earth radius
+        and at most MAX_LENGTH_M.
     ConstellationSamplingError
         If the rejection loop hits its draw cap (mask too high for the
         requested satellite count).
+    ValueError, TypeError
+        If ``seed`` is negative, or not an integer.
     """
+    if isinstance(n_sats, bool) or not isinstance(n_sats, numbers.Integral):
+        raise GeometryError(f"n_sats must be an integer, got {n_sats!r}")
     if n_sats < 5:
         raise GeometryError(f"n_sats must be >= 5, got {n_sats}")
     if not 0.0 <= elevation_mask_deg < 90.0:
@@ -181,8 +196,8 @@ def generate_constellation(
             f"radius {EARTH_RADIUS_M} m and be at most {MAX_LENGTH_M:.4g} m"
         )
 
-    rng = np.random.default_rng(seed)
-    up = _unit(rng.normal(size=3))
+    rng = Normals(seed)
+    up = _unit(np.array(rng.draw(3)))
     receiver = EARTH_RADIUS_M * up
     sin_mask = np.sin(np.radians(elevation_mask_deg))
 
@@ -195,7 +210,7 @@ def generate_constellation(
                 f"placed only {len(kept)}/{n_sats} satellites after {draws} draws; "
                 f"elevation mask {elevation_mask_deg} deg is too restrictive"
             )
-        pts = rng.normal(size=(_DRAW_BATCH, 3))
+        pts = np.array(rng.draw(3 * _DRAW_BATCH)).reshape(_DRAW_BATCH, 3)
         pts *= orbit_radius_m / np.linalg.norm(pts, axis=1)[:, None]
         draws += _DRAW_BATCH
         los = pts - receiver[None, :]

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -351,7 +352,9 @@ def inject_fault(
     sample: geometry.PseudorangeSample, sat_index: int, fault_bias: float
 ) -> geometry.PseudorangeSample:
     """Return a copy of the sample with ``fault_bias`` added to channel ``sat_index`` (0-based)."""
-    if not 0 <= sat_index < sample.m:
+    # True would pass the range check and, as a boolean mask, bias every channel.
+    if (isinstance(sat_index, bool) or not isinstance(sat_index, numbers.Integral)
+            or not 0 <= sat_index < sample.m):
         raise IndexError(f"sat_index {sat_index} outside 0..{sample.m - 1}")
     if not math.isfinite(fault_bias):
         raise ValueError(f"fault_bias must be finite, got {fault_bias}")

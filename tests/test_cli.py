@@ -665,6 +665,27 @@ def test_simulate_does_not_import_numpy_ma(tmp_path):
     assert proc.stdout.strip().splitlines()[-1] == "False"
 
 
+def test_predict_and_audit_do_not_import_numpy_random(tmp_path):
+    # The constellation comes from a stdlib copy of default_rng's normals, so
+    # neither command loads numpy.random. TestImportBudget runs simulate
+    # (whose trial noise needs Philox) before audit, hence a process of its own.
+    script = (
+        "import sys\n"
+        "from edmdetect import cli\n"
+        "seen = []\n"
+        "for command in ('predict', 'audit'):\n"
+        "    assert cli.main([command, '--out', sys.argv[1]]) == 0\n"
+        "    seen.append('numpy.random' in sys.modules)\n"
+        "print(seen)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "out")],
+        env=fresh_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[False, False]"
+
+
 class TestReadmeMatchesCli:
     # The README documents every flag and config key; removed knobs must not
     # linger there.

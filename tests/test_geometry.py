@@ -72,6 +72,9 @@ class TestGenerateConstellation:
         "kwargs",
         [
             {"n_sats": 4},
+            {"n_sats": 12.5, "seed": 1},
+            {"n_sats": 12.0, "seed": 1},
+            {"n_sats": True, "seed": 1},
             {"n_sats": 12, "elevation_mask_deg": 95.0},
             {"n_sats": 12, "elevation_mask_deg": -1.0},
             {"n_sats": 12, "orbit_radius_m": 1_000.0},

@@ -540,9 +540,15 @@ class TestInjectFault:
     def test_index_out_of_range(self, small_scenario):
         d = true_ranges(small_scenario)
         sample = sample_pseudoranges(d, NoiseModel(3.0, 1e5), seed=2)
-        for bad in (-1, small_scenario.m):
+        for bad in (-1, small_scenario.m, True, False, 1.0):
             with pytest.raises(IndexError):
                 inject_fault(sample, bad, 100.0)
+
+    def test_numpy_integer_index_is_taken(self, small_scenario):
+        sample = sample_pseudoranges(true_ranges(small_scenario), NoiseModel(3.0, 1e5), seed=2)
+        faulted = inject_fault(sample, np.int64(1), 100.0)
+        assert np.array_equal(faulted.rho, inject_fault(sample, 1, 100.0).rho)
+        assert np.flatnonzero(faulted.rho != sample.rho).tolist() == [1]
 
     @pytest.mark.parametrize("bias", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_fault_bias_is_refused(self, small_scenario, bias):
