@@ -1,6 +1,7 @@
 """Distance-matrix GNSS fault detection: test statistic, analytic nominal
 distribution via first-order eigenvalue perturbation, and a seeded Monte
-Carlo validation harness."""
+Carlo validation harness. It exports what its commands read; a noisy or
+faulted rho is array arithmetic on ``nominal_pseudoranges(...).rho``."""
 
 from .edm import (
     augment_edm,
@@ -24,16 +25,13 @@ from .geometry import (
     NoiseModel,
     PseudorangeSample,
     ScenarioGeometry,
-    elevation_angles,
     generate_constellation,
     nominal_pseudoranges,
-    sample_pseudoranges,
     true_ranges,
 )
 from .montecarlo import (
     SimulationSummary,
     TrialBatch,
-    inject_fault,
     run_trials,
     summarize,
 )
@@ -82,18 +80,15 @@ __all__ = [
     "edm_from_gram",
     "eigenvalue_sensitivities",
     "eigenvalue_variance",
-    "elevation_angles",
     "finite_difference_audit",
     "generate_constellation",
     "gram_centered",
     "gram_from_positions",
     "gram_sensitivities",
-    "inject_fault",
     "nominal_pseudoranges",
     "predict_q_distribution",
     "ratio_gaussian",
     "run_trials",
-    "sample_pseudoranges",
     "spectrum",
     "summarize",
     "test_statistic",

@@ -1,4 +1,4 @@
-"""Receiver/satellite scenarios and pseudorange sampling.
+"""Receiver/satellite scenarios, the noise model and the nominal pseudoranges.
 
 All quantities are SI meters in an ECEF-like frame. Everything here is a
 pure function of its inputs (plus an explicit seed), so concurrent use is
@@ -29,14 +29,8 @@ DEFAULT_BIAS_M = 1.0e5
 _MIN_SEPARATION_REL = 2.0**-24  # of the length scale L: 1 m at L = 2^24 m
 _RANK_TOL_REL = 1e-9
 _DRAW_BATCH = 256
-
-
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
-
-
-def _ranges(receiver: np.ndarray, satellites: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(satellites - receiver[None, :], axis=1)
+# generate_constellation refuses a mask whose draw cap reaches n_sats less often.
+_UNREACHABLE_P = 1e-12
 
 
 @dataclass
@@ -129,26 +123,9 @@ class NoiseModel:
 
 @dataclass
 class PseudorangeSample:
-    """Measured pseudoranges with their generating ingredients.
-
-    ``v`` is the noise draw (None for field data). When present,
-    ``rho = d_true + bias_b + v`` holds to machine precision, with bias_b
-    the NoiseModel's clock bias.
-    """
+    """Measured pseudoranges rho, one per satellite, meters."""
 
     rho: np.ndarray
-    d_true: np.ndarray
-    v: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.rho = np.asarray(self.rho, dtype=float)
-        self.d_true = np.asarray(self.d_true, dtype=float)
-        if self.v is not None:
-            self.v = np.asarray(self.v, dtype=float)
-
-    @property
-    def m(self) -> int:
-        return self.rho.shape[0]
 
 
 def generate_constellation(
@@ -177,7 +154,9 @@ def generate_constellation(
         and at most MAX_LENGTH_M.
     ConstellationSamplingError
         If the rejection loop hits its draw cap (mask too high for the
-        requested satellite count).
+        requested satellite count), or, before any candidate is drawn, if
+        the cap would reach ``n_sats`` visible satellites with probability
+        below 1e-12.
     ValueError, TypeError
         If ``seed`` is negative, or not an integer.
     """
@@ -197,11 +176,26 @@ def generate_constellation(
         )
 
     rng = Normals(seed)
-    up = _unit(np.array(rng.draw(3)))
-    receiver = EARTH_RADIUS_M * up
-    sin_mask = np.sin(np.radians(elevation_mask_deg))
+    # The loop draws whole batches until it holds n_sats or reaches the cap.
+    # A candidate is visible within central angle theta of the receiver's
+    # zenith, a share (1 - cos theta) / 2 of the orbit sphere, so the cap
+    # holds Binomial(cap, share) visible ones, mean mu; for mu < n_sats,
+    # P(at least n_sats) <= e^-mu (e mu / n_sats)^n_sats (Chernoff).
+    cap = _DRAW_BATCH * -(-max(200_000, 20_000 * n_sats) // _DRAW_BATCH)
+    e = math.radians(elevation_mask_deg)
+    theta = math.acos(EARTH_RADIUS_M * math.cos(e) / orbit_radius_m) - e
+    mu = cap * (1.0 - math.cos(theta)) / 2.0
+    if mu < n_sats and mu * math.exp(1.0 - mu / n_sats) < n_sats * _UNREACHABLE_P ** (1 / n_sats):
+        raise ConstellationSamplingError(
+            f"elevation mask {elevation_mask_deg} deg is too restrictive: {cap} draws "
+            f"expect {mu:.3g} visible satellites, and reaching {n_sats} has "
+            f"probability below {_UNREACHABLE_P:g}")
 
-    cap = max(200_000, 20_000 * n_sats)
+    up = np.array(rng.draw(3))
+    up /= np.linalg.norm(up)
+    receiver = EARTH_RADIUS_M * up
+    sin_mask = np.sin(e)
+
     kept: list[np.ndarray] = []
     draws = 0
     while len(kept) < n_sats:
@@ -215,42 +209,16 @@ def generate_constellation(
         draws += _DRAW_BATCH
         los = pts - receiver[None, :]
         sin_el = (los @ up) / np.linalg.norm(los, axis=1)
-        for p in pts[sin_el >= sin_mask]:
-            kept.append(p)
-            if len(kept) == n_sats:
-                break
+        kept.extend(pts[sin_el >= sin_mask][: n_sats - len(kept)])
     return ScenarioGeometry(receiver=receiver, satellites=np.array(kept))
 
 
 def true_ranges(g: ScenarioGeometry) -> np.ndarray:
     """Euclidean distance from the receiver to each satellite, meters."""
-    return _ranges(g.receiver, g.satellites)
-
-
-def elevation_angles(g: ScenarioGeometry) -> np.ndarray:
-    """Elevation of each satellite in degrees (spherical-Earth up vector)."""
-    up = _unit(g.receiver)
-    los = g.satellites - g.receiver[None, :]
-    sin_el = (los @ up) / np.linalg.norm(los, axis=1)
-    return np.degrees(np.arcsin(np.clip(sin_el, -1.0, 1.0)))
-
-
-def sample_pseudoranges(
-    d: np.ndarray,
-    nm: NoiseModel,
-    seed: int | np.random.SeedSequence | np.random.Generator | None,
-) -> PseudorangeSample:
-    """Draw one noisy pseudorange vector: rho = d + clock bias + v.
-
-    ``v`` is i.i.d. N(0, sigma_v^2); the draw is deterministic per seed.
-    """
-    d = checked_ranges(d, len(d))
-    rng = np.random.default_rng(seed)
-    v = rng.normal(0.0, nm.sigma_v, size=d.shape[0])
-    return PseudorangeSample(rho=d + nm.bias_b + v, d_true=d, v=v)
+    return np.linalg.norm(g.satellites - g.receiver[None, :], axis=1)
 
 
 def nominal_pseudoranges(d: np.ndarray, nm: NoiseModel) -> PseudorangeSample:
-    """The exact noiseless sample rho = d + clock bias (v = 0)."""
+    """The exact noiseless sample rho = d + clock bias."""
     d = checked_ranges(d, len(d))
-    return PseudorangeSample(rho=d + nm.bias_b, d_true=d, v=np.zeros_like(d))
+    return PseudorangeSample(rho=d + nm.bias_b)

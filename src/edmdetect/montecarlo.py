@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -346,21 +345,6 @@ def summarize(
         degenerate=degenerate,
         predicted=dist,
     )
-
-
-def inject_fault(
-    sample: geometry.PseudorangeSample, sat_index: int, fault_bias: float
-) -> geometry.PseudorangeSample:
-    """Return a copy of the sample with ``fault_bias`` added to channel ``sat_index`` (0-based)."""
-    # True would pass the range check and, as a boolean mask, bias every channel.
-    if (isinstance(sat_index, bool) or not isinstance(sat_index, numbers.Integral)
-            or not 0 <= sat_index < sample.m):
-        raise IndexError(f"sat_index {sat_index} outside 0..{sample.m - 1}")
-    if not math.isfinite(fault_bias):
-        raise ValueError(f"fault_bias must be finite, got {fault_bias}")
-    rho = sample.rho.copy()
-    rho[sat_index] += fault_bias
-    return replace(sample, rho=rho)
 
 
 def __getattr__(name: str):

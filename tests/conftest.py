@@ -6,6 +6,7 @@ import json
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 
 from edmdetect import NoiseModel, generate_constellation, run_trials
@@ -38,6 +39,11 @@ def mc100k(scenario12, noise_default):
 @pytest.fixture(scope="session")
 def lambda_matrix_100k(mc100k):
     return mc100k.lambdas
+
+
+def noisy_rho(d, nm, seed):
+    """One noisy pseudorange vector d + clock bias + v, v ~ N(0, sigma_v^2) from default_rng(seed)."""
+    return d + nm.bias_b + np.random.default_rng(seed).normal(0.0, nm.sigma_v, d.size)
 
 
 @pytest.fixture(scope="session")

@@ -10,9 +10,11 @@ import json
 
 import numpy as np
 import pytest
+from conftest import noisy_rho
 
 from edmdetect import (
     NoiseModel,
+    PseudorangeSample,
     augment_edm,
     edm_from_gram,
     eigenvalue_sensitivities,
@@ -24,7 +26,6 @@ from edmdetect import (
     gram_sensitivities,
     nominal_pseudoranges,
     ratio_gaussian,
-    sample_pseudoranges,
     spectrum,
     test_statistic as q_statistic,
     true_ranges,
@@ -175,7 +176,7 @@ def test_criterion_9_invariant_suite():
             bias_b=float(rng.uniform(1e4, 5e5)),
         )
         d = true_ranges(g)
-        sample = sample_pseudoranges(d, nm, seed=np.random.SeedSequence([17, i]))
+        sample = PseudorangeSample(noisy_rho(d, nm, np.random.SeedSequence([17, i])))
 
         D = edm_from_gram(gram_from_positions(g.satellites.T))
         D_c = augment_edm(D, sample.rho)

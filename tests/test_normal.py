@@ -68,7 +68,7 @@ def default_rng_constellation(n_sats, mask_deg, seed, orbit_radius_m=26_560_000.
     return ScenarioGeometry(receiver=receiver, satellites=np.array(kept))
 
 
-@pytest.mark.parametrize("m, mask", [(5, 10.0), (12, 10.0), (30, 5.0), (60, 5.0)])
+@pytest.mark.parametrize("m, mask", [(5, 10.0), (12, 10.0), (30, 5.0), (60, 5.0), (5, 88.0)])
 @pytest.mark.parametrize("seed", range(1, 6))
 def test_constellation_equals_the_default_rng_loop(m, mask, seed):
     ours = generate_constellation(m, mask, seed=seed)
